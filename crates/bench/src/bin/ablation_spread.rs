@@ -17,10 +17,7 @@ fn main() {
     simrankpp_bench::banner("ablation_spread", "the §8.2 spread design choice");
     let config = simrankpp_bench::experiment_config(&scale);
     let dataset = generate(&config.generator);
-    let n_trials: usize = std::env::var("TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(config.desirability_trials);
+    let n_trials = simrankpp_bench::env_positive("TRIALS", config.desirability_trials);
     let trials = prepare_trials(
         &dataset.graph,
         n_trials,

@@ -4,42 +4,29 @@ use serde::{Deserialize, Serialize};
 use simrankpp_graph::WeightKind;
 
 /// How the engine decomposes the click graph before propagating
-/// (see `engine::sharded`).
+/// (see `engine::sharded`). Both strategies produce bit-identical scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardStrategy {
-    /// One monolithic run over the whole graph (the historical behavior).
+    /// One monolithic run over the whole graph.
     #[default]
     Off,
     /// One engine run per connected component, stitched back into global
     /// ids. Exact: cross-component SimRank scores are provably zero, so the
     /// score matrix is block-diagonal over components and the decomposition
-    /// changes no value (bit-identical for serial runs; see
-    /// `engine::sharded` for the fine print).
+    /// changes no value, bit for bit at any thread count.
     Components,
-    /// Component sharding plus ACL extraction of up to the given number of
-    /// low-conductance blocks out of the giant component
-    /// (`simrankpp_partition::extraction_sharding`). **Approximate**: edges
-    /// crossing an extraction cut are dropped, shrinking boundary scores.
-    Extracted(usize),
 }
 
-/// Which accumulation kernel the unified engine runs each Jacobi half-step
-/// on (see `engine::pull` and `engine::accum`).
+/// The propagation kernel that produced a run's scores. The engine has one,
+/// the row-parallel pull kernel (see `engine::pull`); the enum survives as
+/// the type of [`SimrankConfig::kernel`] and of snapshot provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelKind {
     /// Row-parallel pull kernel: the half-step as two Gustavson SpGEMM
-    /// passes over CSR score rows with a dense-scratch workspace — no
-    /// contribution buffers, no sort-merge, bit-deterministic for any
-    /// thread count. The default.
+    /// passes over CSR score rows with a dense-scratch workspace —
+    /// bit-deterministic for any thread count.
     #[default]
     Pull,
-    /// Flat scatter–sort–merge accumulation (the previous default): every
-    /// contribution materialized, sorted canonically, tournament-merged.
-    /// Kept as a cross-check oracle and for `bench_ci`'s ratio gates.
-    Flat,
-    /// Per-iteration hash-map accumulation (the historical engines' path).
-    /// Slowest; kept as the second independent oracle.
-    Hashmap,
 }
 
 /// How scores are produced: the full pair matrix upfront, or one query's
@@ -81,14 +68,12 @@ pub struct SimrankConfig {
     /// to the last bit), `0` = use all available cores.
     pub threads: usize,
     /// Graph decomposition the unified engine applies before propagating:
-    /// per-component runs (exact) or ACL-extracted blocks (approximate).
-    /// Defaults on deserialize so configs saved before this field existed
-    /// still load.
+    /// monolithic or per-component runs (both exact). Defaults on
+    /// deserialize so configs saved before this field existed still load.
     #[serde(default)]
     pub sharding: ShardStrategy,
-    /// Which accumulation kernel runs each Jacobi half-step. [`KernelKind::Pull`]
-    /// is the production path; `Flat` and `Hashmap` are the cross-check
-    /// oracles. Defaults on deserialize like `sharding`.
+    /// The propagation kernel — always [`KernelKind::Pull`]. Defaults on
+    /// deserialize like `sharding`.
     #[serde(default)]
     pub kernel: KernelKind,
     /// Whether scores come from the all-pairs matrix or the on-demand
@@ -163,12 +148,6 @@ impl SimrankConfig {
         self
     }
 
-    /// Builder-style: set the accumulation kernel.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Builder-style: set the engine mode.
     pub fn with_mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
@@ -188,9 +167,6 @@ impl SimrankConfig {
         }
         if !self.tolerance.is_finite() || self.tolerance < 0.0 {
             return Err("tolerance must be finite and non-negative".into());
-        }
-        if self.sharding == ShardStrategy::Extracted(0) {
-            return Err("ShardStrategy::Extracted needs at least one block".into());
         }
         Ok(())
     }
@@ -277,14 +253,6 @@ mod tests {
         let c = c.with_sharding(ShardStrategy::Components);
         assert_eq!(c.sharding, ShardStrategy::Components);
         assert!(c.validate().is_ok());
-        assert!(SimrankConfig::default()
-            .with_sharding(ShardStrategy::Extracted(5))
-            .validate()
-            .is_ok());
-        assert!(SimrankConfig::default()
-            .with_sharding(ShardStrategy::Extracted(0))
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -307,10 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_builder_defaults_to_pull_and_deserializes_legacy() {
+    fn kernel_defaults_to_pull_and_deserializes_legacy() {
         let c = SimrankConfig::default();
         assert_eq!(c.kernel, KernelKind::Pull);
-        assert_eq!(c.with_kernel(KernelKind::Flat).kernel, KernelKind::Flat);
         // Configs persisted before the kernel knob existed must still load.
         let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
         assert!(json.contains("kernel"));

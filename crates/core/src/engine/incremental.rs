@@ -23,10 +23,8 @@
 //! [`super::run_sharded`], [`super::run_with_strategy`] with exact
 //! sharding, or a previous [`run_incremental`]), the result is
 //! **bit-identical** to a from-scratch run over the updated graph under the
-//! same conditions that make component sharding bit-exact — unconditional
-//! for the default pull kernel; for the flat oracle, serial shards below
-//! the accumulator flush threshold (see `super::sharded`). Clean
-//! components cost zero engine work — [`IncrementalRun`] reports the
+//! same conditions that make component sharding bit-exact (see
+//! `super::sharded`). Clean components cost zero engine work — [`IncrementalRun`] reports the
 //! reused-vs-recomputed pair split so callers can verify exactly that.
 
 use super::accum::{merge_all_disjoint, PairVec};

@@ -6,42 +6,31 @@
 //! stitches the per-shard [`ScoreMatrix`] results back into global ids.
 //! Stitching rejects duplicates: a pair produced by two shards means the
 //! shards overlap, and the merge fails loudly instead of silently summing
-//! the colliding scores. Two merge paths implement that contract —
-//! [`crate::scores::ScoreMatrixBuilder::merge_disjoint`] for builder-level
-//! stitching, and the engine's hot path below
-//! ([`super::accum::merge_all_disjoint`]), which exploits that each shard's
-//! remap is *monotone*: the remapped pair list is already key-sorted, so a
-//! smallest-first galloping merge stitches the blocks in effectively one
-//! bulk-copy pass over the data, no hashing (the hash-map builder stitch
-//! measured ~2× slower end to end at 10k-query scale).
+//! the colliding scores. [`super::accum::merge_all_disjoint`] implements
+//! that contract by exploiting that each shard's remap is *monotone*: the
+//! remapped pair list is already key-sorted, so a smallest-first galloping
+//! merge stitches the blocks in effectively one bulk-copy pass over the
+//! data, with no hashing.
 //!
 //! Scheduling: shards arrive largest-first from [`Sharding`] and are pulled
 //! off an atomic queue by `config.effective_threads()` scoped workers, so
 //! the giant §9.2 component starts immediately while satellites fill the
 //! remaining workers. Each shard itself runs **serially** (`threads = 1`).
 //!
-//! Exactness contract, for [`Sharding::from_components`] (`exact == true`):
+//! Exactness contract, for [`Sharding::from_components`]:
 //!
 //! * per-shard transition factors equal the global ones (both walks are
 //!   local and components keep every incident edge);
-//! * the monotone id remap preserves CSR neighbor order, so a shard replays
-//!   the global contribution stream restricted to its component;
-//! * the default pull kernel (`KernelKind::Pull`) fixes each output row's
-//!   accumulation order as a function of CSR neighbor order alone, which
-//!   the monotone remap preserves — **bit-identical** scores at any scale
-//!   and any thread count. The flat oracle (`KernelKind::Flat`) instead
-//!   sorts contributions canonically by `(pair, value)`, which is
-//!   bit-identical only while both runs are serial and stay under the
-//!   accumulator's flush threshold (beyond it, run boundaries can
-//!   reassociate sums; equality then holds to rounding);
+//! * the monotone id remap preserves CSR neighbor order, and the pull
+//!   kernel fixes each output row's accumulation order as a function of CSR
+//!   neighbor order alone — so a shard replays the global floating-point op
+//!   sequence restricted to its component: **bit-identical** scores at any
+//!   scale and any thread count;
 //! * `prune_threshold` is a per-pair decision on identical values, so
 //!   pruned runs decompose exactly too;
 //! * `tolerance > 0` early exit is the one knob that breaks equivalence:
 //!   a quiet shard may stop before the global run would have, leaving its
 //!   scores short by at most `tolerance · C / (1 − C)`.
-//!
-//! Extraction sharding (`exact == false`) reuses the same machinery but cuts
-//! edges; see `simrankpp_partition::shard`.
 
 use super::accum::{merge_all_disjoint, PairVec};
 use super::{EngineRun, RawRun, Transition};
@@ -185,8 +174,8 @@ pub(crate) fn aggregate_diagnostics(
 /// Runs the engine over every shard, pulling shard indices off an atomic
 /// queue with `workers` scoped threads; results come back in shard order.
 /// Each worker owns one [`super::EngineScratch`] for its whole drain, so
-/// kernel workspaces (dense pull scratch, flat buffers) are allocated once
-/// per worker, not once per shard.
+/// the pull kernel's dense workspaces are allocated once per worker, not
+/// once per shard.
 pub(crate) fn run_all<T: Transition>(
     sharding: &Sharding,
     config: &SimrankConfig,
@@ -195,7 +184,7 @@ pub(crate) fn run_all<T: Transition>(
 ) -> Vec<RawRun> {
     let shards = &sharding.shards;
     let mut scratches: Vec<super::EngineScratch> = (0..workers.max(1))
-        .map(|_| super::EngineScratch::new(config.kernel, config.effective_threads()))
+        .map(|_| super::EngineScratch::new(config.effective_threads()))
         .collect();
     super::parallel::run_indexed_stateful(shards.len(), &mut scratches, |scratch, i| {
         super::run_raw_with(&shards[i].graph, config, transition, scratch)

@@ -9,14 +9,10 @@ use std::io::{self, Write};
 
 /// Precomputed per-edge factors in both CSR orders.
 ///
-/// The scatter kernels walk *source* rows: when ad-pair scores propagate to
-/// query pairs they iterate each ad's query list, so the factor attached to
-/// edge `(q, a)` must be addressable per ad row — and symmetrically for the
-/// other direction. The pull kernel additionally needs each table in the
-/// *transposed* layout: its first SpGEMM pass walks the output node's own
-/// neighbor list (e.g. `F(q, a)` for `a ∈ E(q)`, query-major), its second
-/// pass scatters through the inner node's list (`F(q', a)` for
-/// `q' ∈ E(a)`, ad-major). [`TransitionFactors::from_primary`] derives the
+/// The pull kernel needs each factor table in both layouts: its first
+/// SpGEMM pass walks the output node's own neighbor list (e.g. `F(q, a)`
+/// for `a ∈ E(q)`, query-major), its second pass scatters through the
+/// inner node's list (`F(q', a)` for `q' ∈ E(a)`, ad-major). [`TransitionFactors::from_primary`] derives the
 /// transposed copies with a counting transpose, so each variant still only
 /// supplies the two primary tables.
 ///

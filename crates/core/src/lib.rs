@@ -5,7 +5,7 @@
 //! * [`naive`] — §3's common-ad count (Table 1);
 //! * [`engine`] — the unified sparse propagation kernel all recursive
 //!   variants run on: a [`engine::Transition`] abstracts the per-edge walk
-//!   factor, one flat sorted-pair accumulation kernel propagates scores,
+//!   factor, one row-parallel pull kernel propagates scores,
 //!   shared chunked parallelism, threshold pruning, per-iteration
 //!   `pair_counts`/max-delta diagnostics and tolerance-based early exit;
 //! * [`mod@simrank`] — §4's bipartite SimRank (Eq. 4.1/4.2): a thin

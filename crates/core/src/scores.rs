@@ -118,68 +118,6 @@ impl ScoreMatrixBuilder {
         self.entries.is_empty()
     }
 
-    /// Drops entries with score below `threshold` (or non-positive).
-    pub fn prune(&mut self, threshold: f64) {
-        self.entries.retain(|_, v| *v > threshold && *v > 0.0);
-    }
-
-    /// Merges another builder's entries additively (parallel reduction).
-    ///
-    /// The node count widens to the larger of the two sides, so merging a
-    /// wider builder into a narrower (e.g. freshly-constructed empty) one
-    /// cannot make `build()` index out of bounds.
-    pub fn merge(&mut self, other: ScoreMatrixBuilder) {
-        self.n = self.n.max(other.n);
-        if self.entries.is_empty() {
-            self.entries = other.entries;
-            return;
-        }
-        for (k, v) in other.entries {
-            *self.entries.entry(k).or_insert(0.0) += v;
-        }
-    }
-
-    /// Merges another builder's entries, **rejecting** any pair already
-    /// present instead of summing it — the builder-level stitch path for
-    /// sharded score blocks, where each unordered pair belongs to exactly
-    /// one shard and a duplicate means the shards overlap. Plain
-    /// [`ScoreMatrixBuilder::merge`] would silently sum the colliding scores
-    /// and corrupt the stitched matrix; this variant surfaces the bug
-    /// instead. (The engine's hot stitch uses the equivalent sorted-merge,
-    /// `engine::accum::merge_all_disjoint`, which skips the hashing.) On
-    /// error, `self` may have absorbed a prefix of `other`'s entries —
-    /// discard it.
-    ///
-    /// The node count widens like [`ScoreMatrixBuilder::merge`].
-    pub fn merge_disjoint(&mut self, other: ScoreMatrixBuilder) -> Result<(), String> {
-        self.n = self.n.max(other.n);
-        if self.entries.is_empty() {
-            self.entries = other.entries;
-            return Ok(());
-        }
-        for (k, v) in other.entries {
-            match self.entries.entry(k) {
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    let (a, b) = k.parts();
-                    return Err(format!(
-                        "pair ({a}, {b}) inserted by two shards — shards must be disjoint"
-                    ));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies `f` to every stored score (e.g. evidence multiplication).
-    pub fn map_scores(&mut self, mut f: impl FnMut(PairKey, f64) -> f64) {
-        for (k, v) in self.entries.iter_mut() {
-            *v = f(*k, *v);
-        }
-    }
-
     /// Freezes into the read-optimized [`ScoreMatrix`]. Non-positive scores
     /// are dropped.
     pub fn build(self) -> ScoreMatrix {
@@ -200,11 +138,6 @@ impl ScoreMatrixBuilder {
                 .copied()
                 .unwrap_or(0.0)
         }
-    }
-
-    /// Iterates stored `(pair, score)` entries in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (PairKey, f64)> + '_ {
-        self.entries.iter().map(|(&k, &v)| (k, v))
     }
 }
 
@@ -510,101 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_small_entries() {
-        let mut b = ScoreMatrixBuilder::new(4);
-        b.set(0, 1, 0.5);
-        b.set(0, 2, 1e-9);
-        b.set(0, 3, -0.1);
-        b.prune(1e-6);
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
     fn build_drops_nonpositive() {
         let mut b = ScoreMatrixBuilder::new(3);
         b.set(0, 1, 0.0);
         b.set(1, 2, 0.3);
         let m = b.build();
         assert_eq!(m.n_pairs(), 1);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = ScoreMatrixBuilder::new(3);
-        a.set(0, 1, 0.2);
-        let mut b = ScoreMatrixBuilder::new(3);
-        b.set(0, 1, 0.3);
-        b.set(1, 2, 0.1);
-        a.merge(b);
-        assert!((a.get(0, 1) - 0.5).abs() < 1e-12);
-        assert!((a.get(1, 2) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_disjoint_rejects_duplicate_pairs() {
-        // Failing-before regression: the stitch path used to ride on plain
-        // `merge`, which silently *summed* a pair inserted by two
-        // overlapping shards (0.2 + 0.3 = 0.5 below) instead of rejecting
-        // the overlap.
-        let mut a = ScoreMatrixBuilder::new(3);
-        a.set(0, 1, 0.2);
-        let mut b = ScoreMatrixBuilder::new(3);
-        b.set(1, 0, 0.3); // same unordered pair
-        b.set(1, 2, 0.1);
-        let err = a.merge_disjoint(b).unwrap_err();
-        assert!(err.contains("(0, 1)"), "{err}");
-        // Sanity: plain merge on identical inputs silently sums — the
-        // behavior the stitch path must not inherit.
-        let mut c = ScoreMatrixBuilder::new(3);
-        c.set(0, 1, 0.2);
-        let mut d = ScoreMatrixBuilder::new(3);
-        d.set(1, 0, 0.3);
-        c.merge(d);
-        assert!((c.get(0, 1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_disjoint_accepts_disjoint_and_widens() {
-        let mut a = ScoreMatrixBuilder::new(2);
-        a.set(0, 1, 0.4);
-        let mut b = ScoreMatrixBuilder::new(6);
-        b.set(4, 5, 0.3);
-        a.merge_disjoint(b).unwrap();
-        let m = a.build();
-        assert_eq!(m.n_nodes(), 6);
-        assert!((m.get(0, 1) - 0.4).abs() < 1e-12);
-        assert!((m.get(4, 5) - 0.3).abs() < 1e-12);
-
-        // Empty-receiver fast path steals the entries wholesale.
-        let mut e = ScoreMatrixBuilder::new(0);
-        let mut f = ScoreMatrixBuilder::new(3);
-        f.set(1, 2, 0.7);
-        e.merge_disjoint(f).unwrap();
-        assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn merge_widens_node_count() {
-        // Regression: merging a wider builder into a narrower empty one used
-        // to keep the narrow `n`, so `build()` indexed `by_node` out of
-        // bounds for the stolen entries.
-        let mut a = ScoreMatrixBuilder::new(2);
-        let mut b = ScoreMatrixBuilder::new(6);
-        b.set(4, 5, 0.3);
-        a.merge(b);
-        let m = a.build();
-        assert_eq!(m.n_nodes(), 6);
-        assert!((m.get(4, 5) - 0.3).abs() < 1e-12);
-
-        // Same widening on the non-empty path.
-        let mut c = ScoreMatrixBuilder::new(2);
-        c.set(0, 1, 0.1);
-        let mut d = ScoreMatrixBuilder::new(9);
-        d.set(7, 8, 0.2);
-        c.merge(d);
-        let m = c.build();
-        assert_eq!(m.n_nodes(), 9);
-        assert!((m.get(7, 8) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -625,8 +469,8 @@ mod tests {
 
     #[test]
     fn top_k_skips_nan_scores() {
-        // A NaN entry (only constructible via from_sorted_pairs-free paths
-        // like map_scores misuse) must be dropped, not ranked arbitrarily.
+        // A NaN entry (only constructible by writing the arena directly)
+        // must be dropped, not ranked arbitrarily.
         let mut b = ScoreMatrixBuilder::new(4);
         b.set(0, 1, 0.4);
         b.set(0, 2, 0.7);
@@ -727,15 +571,5 @@ mod tests {
         let mut wrong = bytes.as_slice().to_vec();
         wrong[0] ^= 0xff;
         assert!(ScoreMatrixArena::from_bytes(&wrong).is_err());
-    }
-
-    #[test]
-    fn map_scores_applies() {
-        let mut b = ScoreMatrixBuilder::new(3);
-        b.set(0, 1, 0.5);
-        b.set(1, 2, 0.25);
-        b.map_scores(|_, v| v * 2.0);
-        assert!((b.get(0, 1) - 1.0).abs() < 1e-12);
-        assert!((b.get(1, 2) - 0.5).abs() < 1e-12);
     }
 }

@@ -27,10 +27,9 @@
 //!    shard-local iteration replays the global one contribution for
 //!    contribution.
 //!
-//! [`Sharding::from_components`] is the exact decomposition. The partition
-//! crate adds an *approximate* extraction-based sharding that further carves
-//! the giant component (`simrankpp_partition::extraction_sharding`); it cuts
-//! edges and is opt-in.
+//! [`Sharding::from_components`] is the whole-graph decomposition and
+//! [`Sharding::from_dirty`] the incremental one; both keep every edge, so
+//! every sharding is exact.
 
 use crate::components::{connected_components, Components};
 use crate::graph::ClickGraph;
@@ -44,8 +43,8 @@ pub struct Shard {
     pub graph: ClickGraph,
     /// Parent↔shard id correspondence.
     pub mapping: SubgraphMapping,
-    /// The component id this shard was carved from, when component-derived.
-    pub component: Option<u32>,
+    /// The component id this shard was carved from.
+    pub component: u32,
 }
 
 impl Shard {
@@ -61,10 +60,6 @@ pub struct Sharding {
     /// The shards, ordered largest-first (by node count) so a greedy
     /// scheduler starts the long poles early.
     pub shards: Vec<Shard>,
-    /// Whether per-shard SimRank provably equals whole-graph SimRank
-    /// (`true` for component sharding, `false` for extraction sharding,
-    /// which cuts edges).
-    pub exact: bool,
     /// Components that were skipped because they cannot hold an off-diagonal
     /// same-side pair (at most one query and at most one ad).
     pub n_trivial: usize,
@@ -131,46 +126,16 @@ impl Sharding {
             shards.push(Shard {
                 graph,
                 mapping,
-                component: Some(id as u32),
+                component: id as u32,
             });
         }
-        let mut sharding = Sharding {
+        shards.sort_by_key(|s| std::cmp::Reverse(s.n_nodes()));
+        Sharding {
             shards,
-            exact: true,
             n_trivial,
             n_queries: g.n_queries(),
             n_ads: g.n_ads(),
-        };
-        sharding.sort_largest_first();
-        sharding
-    }
-
-    /// Assembles a sharding from externally carved shards (the partition
-    /// crate's extraction path). `exact` must describe whether the shards
-    /// preserve every edge incident to their members.
-    pub fn from_shards(g: &ClickGraph, shards: Vec<Shard>, exact: bool) -> Sharding {
-        debug_assert!(
-            shards.iter().all(|s| {
-                s.mapping.queries.windows(2).all(|w| w[0] < w[1])
-                    && s.mapping.ads.windows(2).all(|w| w[0] < w[1])
-            }),
-            "shard id remaps must be monotone (ascending parent ids): the \
-             engine's sorted stitch relies on remapped pair lists staying \
-             key-sorted"
-        );
-        let mut sharding = Sharding {
-            shards,
-            exact,
-            n_trivial: 0,
-            n_queries: g.n_queries(),
-            n_ads: g.n_ads(),
-        };
-        sharding.sort_largest_first();
-        sharding
-    }
-
-    fn sort_largest_first(&mut self) {
-        self.shards.sort_by_key(|s| std::cmp::Reverse(s.n_nodes()));
+        }
     }
 
     /// Number of shards.
@@ -226,7 +191,6 @@ mod tests {
     fn figure3_sharding_splits_the_two_components() {
         let g = figure3_graph();
         let s = Sharding::from_components(&g);
-        assert!(s.exact);
         assert_eq!(s.n_shards(), 2);
         assert_eq!(s.n_trivial, 0);
         // Largest-first: {pc, camera, digital camera, tv} × {hp, bestbuy}.
@@ -252,7 +216,6 @@ mod tests {
         let g2 = d.apply(&g);
         let dirty = d.dirty_components(&g2);
         let s = Sharding::from_dirty(&g2, &dirty);
-        assert!(s.exact);
         assert_eq!(s.n_shards(), 1);
         assert_eq!(s.n_trivial, 0);
         assert_eq!(s.shards[0].graph.n_queries(), 4);

@@ -32,10 +32,9 @@
 //!
 //! `method` is one of `naive | pearson | simrank | evidence | weighted`
 //! (default `weighted`, the paper's best). `shard` selects the engine
-//! decomposition for the recursive methods: `components` (default; exact —
-//! one engine run per click-graph component, so the index is identical to a
-//! monolithic build), `off`, or `extracted:K` (approximate ACL carving of
-//! the giant component into K blocks). Diagnostics go to stderr; stdout
+//! decomposition for the recursive methods: `components` (default; one
+//! engine run per click-graph component) or `off` (one monolithic run) —
+//! both produce the identical index. Diagnostics go to stderr; stdout
 //! carries only the line protocol, so `serve run` pipes cleanly.
 //!
 //! With `--graph` and a recursive method the server also holds a live
@@ -66,10 +65,10 @@
 //! `--weight-kind` selects the edge weight behind transition
 //! probabilities. Every subcommand defaults to `clicks` except `ingest`,
 //! which defaults to `ecr` so the decay knob is visible in scores. The
-//! snapshot header records the engine kernel but not the weight kind, so
-//! a `serve update` of an index built with a non-default kind must be
-//! given the same flag — a mismatch would mix weight regimes between
-//! refreshed and copied rows undetected.
+//! snapshot header does not record the weight kind, so a `serve update` of
+//! an index built with a non-default kind must be given the same flag — a
+//! mismatch would mix weight regimes between refreshed and copied rows
+//! undetected.
 
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, ShardStrategy, SimrankConfig};
 use simrankpp_graph::delta::{apply_named, read_delta_tsv};
@@ -98,7 +97,7 @@ const USAGE: &str = "usage:
                [--checkpoint <path>] [--resume]
                [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S]
 method: naive | pearson | simrank | evidence | weighted (default weighted)
-shard:  components | off | extracted:K (default components; exact)
+shard:  components | off (default components; both exact)
 mode:   all-pairs (default; precompute every row offline) | single-source
         (no offline build: rows computed per query on demand, LRU-cached)
 weight: --weight-kind impressions|clicks|ecr — edge weight behind transition
@@ -211,10 +210,7 @@ fn shard_strategy(name: &str) -> Result<ShardStrategy, String> {
     Ok(match name {
         "off" => ShardStrategy::Off,
         "components" => ShardStrategy::Components,
-        other => match other.strip_prefix("extracted:").map(str::parse::<usize>) {
-            Some(Ok(k)) if k > 0 => ShardStrategy::Extracted(k),
-            _ => return Err(format!("unknown shard strategy {other:?}\n{USAGE}")),
-        },
+        other => return Err(format!("unknown shard strategy {other:?}\n{USAGE}")),
     })
 }
 
@@ -247,12 +243,7 @@ fn build_index(
     );
     let t1 = Instant::now();
     let rewriter = Rewriter::new(graph, method, RewriterConfig::default());
-    let mut index = RewriteIndex::build(&rewriter, None, 0);
-    if let ShardStrategy::Extracted(_) = sharding {
-        // Extraction sharding cuts edges; record the approximation so
-        // snapshots of this index refuse exact incremental refresh later.
-        index.set_approx_sharding(true);
-    }
+    let index = RewriteIndex::build(&rewriter, None, 0);
     eprintln!(
         "indexed {} rewrites for {} queries in {:.1?}",
         index.n_entries(),
@@ -346,8 +337,8 @@ fn segment(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the offline index over `graph` and assembles the serve state.
-/// Updatable servers of a recursive method also get the live single-source
+/// Builds the offline index over `graph` and assembles the updatable serve
+/// state. Servers of a recursive method also get the live single-source
 /// fallback, so queries the index misses (possible once deltas land) are
 /// computed on demand instead of refused.
 fn build_state(
@@ -356,15 +347,13 @@ fn build_state(
     sharding: ShardStrategy,
     weight: WeightKind,
     cache_capacity: usize,
-    updatable: bool,
 ) -> Result<ServeState, String> {
     let index = build_index(&graph, kind, sharding, weight);
     let config = serve_config(sharding, weight);
-    let live = if updatable
-        && matches!(
-            kind,
-            MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank
-        ) {
+    let live = if matches!(
+        kind,
+        MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank
+    ) {
         let t0 = Instant::now();
         let live = LiveContext::new(graph.clone(), kind, config, RewriterConfig::default())?;
         eprintln!(
@@ -375,18 +364,14 @@ fn build_state(
     } else {
         None
     };
-    let state = if updatable {
-        ServeState::updatable(
-            index,
-            UpdateContext {
-                graph,
-                config,
-                rewriter: RewriterConfig::default(),
-            },
-        )
-    } else {
-        ServeState::fixed(index)
-    };
+    let state = ServeState::updatable(
+        index,
+        UpdateContext {
+            graph,
+            config,
+            rewriter: RewriterConfig::default(),
+        },
+    );
     Ok(match live {
         Some(l) => state.with_live(l, cache_capacity),
         None => state,
@@ -572,19 +557,9 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
                     t0.elapsed()
                 );
                 ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, cache_capacity)
-            } else if let ShardStrategy::Extracted(_) = sharding {
-                // Extraction sharding cuts edges (approximate); an exact
-                // per-component incremental refresh would silently mix
-                // regimes with the approximate rows it copies. Serve
-                // frozen instead of producing a hybrid index.
-                eprintln!(
-                    "extracted sharding is approximate: `update` disabled \
-                     (rebuild with `components` to enable incremental updates)"
-                );
-                build_state(graph, kind, sharding, weight, cache_capacity, false)?
             } else {
                 eprintln!("live graph held: `update <delta.tsv>` hot-swaps the index in place");
-                build_state(graph, kind, sharding, weight, cache_capacity, true)?
+                build_state(graph, kind, sharding, weight, cache_capacity)?
             }
         }
         Some(path) => {
@@ -692,10 +667,7 @@ fn update(args: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let (new_graph, delta) = apply_named(&graph, &ops)?;
     let dirty = delta.dirty_components(&new_graph);
-    // Honor the snapshot's recorded engine kernel (like the method kind):
-    // a refresh must recompute dirty rows with the kernel that produced the
-    // clean rows it copies, or rebuild_incremental refuses the mix.
-    let config = serve_config(ShardStrategy::Components, weight).with_kernel(index.meta().kernel);
+    let config = serve_config(ShardStrategy::Components, weight);
     let (next, stats) = index.rebuild_incremental(
         &new_graph,
         &dirty,

@@ -13,14 +13,13 @@
 //! Lookups slice the arena — no per-request allocation — and an optional
 //! cloned name interner answers `lookup("camera")` for the line protocol.
 
-use serde::{Deserialize, Serialize};
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Sharding};
 use simrankpp_util::FxHashSet;
 
 /// Provenance carried by an index (and through snapshots): what produced the
 /// rows, so a server can refuse mismatched artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexMeta {
     /// The similarity method the rows were ranked by.
     pub method: MethodKind,
@@ -28,31 +27,19 @@ pub struct IndexMeta {
     pub max_rewrites: u32,
     /// Whether the §9.3 bid-term filter was applied at build time.
     pub bid_filtered: bool,
-    /// Whether the scores were computed under an **approximate** (edge
-    /// cutting) sharding regime such as `ShardStrategy::Extracted`.
-    /// Incremental refresh is exact-per-component and would silently mix
-    /// regimes with copied approximate rows, so
-    /// [`RewriteIndex::rebuild_incremental`] refuses such indexes.
-    /// Defaults to `false` (exact) for artifacts predating the field.
-    #[serde(default)]
+    /// Whether the scores came from an approximate (edge-cutting) sharding.
+    /// Always `false`: every sharding the engine runs is exact, and snapshot
+    /// loading refuses files written with the flag set.
     pub approx_sharding: bool,
-    /// Which engine kernel computed the scores. Kernels agree only to f64
-    /// rounding, so an incremental refresh recomputing dirty rows with a
-    /// different kernel than the copied clean rows would silently mix
-    /// generations; [`RewriteIndex::rebuild_incremental`] refuses the
-    /// mismatch. Deliberately **not** serde-defaulted: an artifact without
-    /// the field predates the pull kernel and carries flat-kernel scores,
-    /// so defaulting to the current `KernelKind::default()` would
-    /// mis-attribute it — legacy artifacts are refused on load instead
-    /// (binary snapshots via the version check, JSON via the missing
-    /// field), matching the v1→v2 `approx_sharding` precedent.
+    /// The engine kernel that computed the scores — always
+    /// [`KernelKind::Pull`]; snapshot loading refuses files naming the
+    /// retired kernels.
     pub kernel: KernelKind,
     /// How many segments of a [`simrankpp_graph::SegmentedStore`] the index
     /// was built from — `0` for a monolithic in-memory build. Provenance
     /// only: segmented and monolithic builds over the same graph are
     /// bit-identical (both decompose exactly by component), so nothing
     /// refuses on a mismatch; the count surfaces in `serve info`.
-    #[serde(default)]
     pub segments: u32,
 }
 
@@ -78,7 +65,7 @@ pub struct RebuildStats {
 }
 
 /// An immutable query → top-k rewrites index over one click graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RewriteIndex {
     pub(crate) meta: IndexMeta,
     pub(crate) n_queries: u32,
@@ -148,7 +135,7 @@ impl RewriteIndex {
                 max_rewrites: rewriter.config().max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
                 approx_sharding: false,
-                kernel: rewriter.method().kernel(),
+                kernel: KernelKind::Pull,
                 segments: 0,
             },
             n_queries: g.n_queries() as u32,
@@ -185,12 +172,10 @@ impl RewriteIndex {
         let has_names = store.has_names();
         let mut rows: Vec<Option<Vec<(u32, f64)>>> = vec![None; n_total];
         let mut names: Vec<(u32, String)> = Vec::with_capacity(if has_names { n_total } else { 0 });
-        let mut kernel = None;
 
         for i in 0..store.n_segments() {
             let seg = store.load_segment(i)?;
             let method = Method::compute(kind, &seg.graph, config);
-            kernel = Some(method.kernel());
             let rewriter = Rewriter::new(&seg.graph, method, rewriter_config);
             let local_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
                 seg.queries
@@ -272,7 +257,7 @@ impl RewriteIndex {
                 max_rewrites: rewriter_config.max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
                 approx_sharding: false,
-                kernel: kernel.unwrap_or(config.kernel),
+                kernel: KernelKind::Pull,
                 segments: store.n_segments() as u32,
             },
             n_queries: n_total as u32,
@@ -302,8 +287,7 @@ impl RewriteIndex {
     /// `config`/`rewriter_config`/`bid_terms` must match what built `self`
     /// (checked against `meta` where recorded: method family via
     /// `meta.method`, row cap via `meta.max_rewrites`, bid filtering via
-    /// `meta.bid_filtered`, engine kernel via `meta.kernel`). Recursive
-    /// methods assume the default
+    /// `meta.bid_filtered`). Recursive methods assume the default
     /// (geometric) evidence formula, as [`RewriteIndex::build`] callers use.
     ///
     /// Returns the next index generation plus the refresh accounting.
@@ -323,22 +307,6 @@ impl RewriteIndex {
         }
         if bid_terms.is_some() != self.meta.bid_filtered {
             return Err("bid filtering must match the original build".into());
-        }
-        if self.meta.approx_sharding {
-            return Err(
-                "index was built under approximate (extracted) sharding: an exact \
-                 per-component refresh would mix regimes — rebuild with `components`"
-                    .into(),
-            );
-        }
-        if config.kernel != self.meta.kernel {
-            return Err(format!(
-                "index was built with the {:?} engine kernel but the refresh config \
-                 selects {:?}: recomputed dirty rows would mix kernels (they agree \
-                 only to rounding) with copied clean rows — pass a matching \
-                 config.kernel or rebuild the index from scratch",
-                self.meta.kernel, config.kernel
-            ));
         }
         let old_n = self.n_queries();
         let new_n = new_graph.n_queries();
@@ -473,15 +441,6 @@ impl RewriteIndex {
         }
     }
 
-    /// Marks the index as built under an approximate (edge-cutting) sharding
-    /// regime. `RewriteIndex::build` cannot see the engine strategy (it only
-    /// receives precomputed scores), so the caller that chose
-    /// `ShardStrategy::Extracted` must record it; the flag travels through
-    /// snapshots and blocks incremental refresh.
-    pub fn set_approx_sharding(&mut self, approx: bool) {
-        self.meta.approx_sharding = approx;
-    }
-
     /// Build provenance.
     pub fn meta(&self) -> &IndexMeta {
         &self.meta
@@ -525,22 +484,6 @@ impl RewriteIndex {
     #[inline]
     pub fn query_name(&self, q: QueryId) -> Option<&str> {
         self.names.as_ref().and_then(|i| i.name(q.0))
-    }
-
-    /// JSON snapshot (human-inspectable; prefer the binary format for size).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("index serialization cannot fail")
-    }
-
-    /// Parses a JSON snapshot, rebuilds the name lookup (serde skips the
-    /// reverse index), and validates the structure.
-    pub fn from_json(json: &str) -> Result<RewriteIndex, String> {
-        let mut index: RewriteIndex = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if let Some(i) = index.names.as_mut() {
-            i.rebuild_index();
-        }
-        index.validate()?;
-        Ok(index)
     }
 
     /// Checks every structural invariant; snapshot loading runs this, so a
@@ -722,34 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_name_in_json_snapshot_rejected() {
-        // A duplicated name would make the rebuilt name index route lookups
-        // to the wrong query's row; from_json must refuse it.
-        let json = fig3_index().to_json();
-        let forged = json.replace("\"pc\"", "\"tv\"");
-        assert_ne!(json, forged, "fixture must contain the pc query name");
-        let err = RewriteIndex::from_json(&forged).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_lookups() {
-        let index = fig3_index();
-        let loaded = RewriteIndex::from_json(&index.to_json()).unwrap();
-        assert_eq!(loaded.n_entries(), index.n_entries());
-        for q in 0..index.n_queries() {
-            let q = QueryId(q as u32);
-            assert_eq!(loaded.rewrites_of(q).ids(), index.rewrites_of(q).ids());
-            assert_eq!(
-                loaded.rewrites_of(q).scores(),
-                index.rewrites_of(q).scores()
-            );
-        }
-        // Name lookup works after the reverse index rebuild.
-        assert!(loaded.lookup("camera").is_some());
-    }
-
-    #[test]
     fn rebuild_incremental_matches_full_rebuild_and_copies_clean_rows() {
         use simrankpp_graph::{EdgeData, GraphDelta};
         let g = figure3_graph();
@@ -852,27 +767,6 @@ mod tests {
         assert!(old
             .rebuild_incremental(&g2, &other_dirty, &cfg, &RewriterConfig::default(), None)
             .is_err());
-        // Approximate-sharding builds refuse exact incremental refresh.
-        let mut approx = old.clone();
-        approx.set_approx_sharding(true);
-        let err = approx
-            .rebuild_incremental(&g2, &dirty, &cfg, &RewriterConfig::default(), None)
-            .unwrap_err();
-        assert!(err.contains("approximate"), "{err}");
-        // Kernel mismatch: refreshing a flat-built index (e.g. a snapshot
-        // from before the pull kernel existed) with a pull config would mix
-        // kernels across copied and recomputed rows — refused, while the
-        // matching kernel succeeds.
-        let mut legacy = old.clone();
-        legacy.meta.kernel = simrankpp_core::KernelKind::Flat;
-        let err = legacy
-            .rebuild_incremental(&g2, &dirty, &cfg, &RewriterConfig::default(), None)
-            .unwrap_err();
-        assert!(err.contains("kernel"), "{err}");
-        let flat_cfg = cfg.with_kernel(simrankpp_core::KernelKind::Flat);
-        assert!(legacy
-            .rebuild_incremental(&g2, &dirty, &flat_cfg, &RewriterConfig::default(), None)
-            .is_ok());
     }
 
     #[test]

@@ -37,6 +37,11 @@
 //! long-lived data. The v1–v3 header began `magic | version u32`, which
 //! coincides with the arena header's magic/version slots, so the version
 //! check below reads old files' true version and refuses them cleanly.
+//!
+//! The engine has one kernel (pull, word `0`) and only exact sharding,
+//! so a v4 file whose kernel word names a retired kernel (`1` flat, `2`
+//! hash-map) or whose `approx_sharding` flag is set gets the same rebuild
+//! hint: every index in memory is pull-built and exactly sharded.
 
 use crate::index::{IndexMeta, RewriteIndex};
 use simrankpp_core::{KernelKind, MethodKind};
@@ -62,6 +67,9 @@ pub(crate) const META_WORDS: usize = 7;
 pub(crate) const FLAG_BID: u64 = 1;
 pub(crate) const FLAG_APPROX: u64 = 1 << 1;
 pub(crate) const FLAG_NAMES: u64 = 1 << 2;
+
+/// How every refused-but-well-formed snapshot tells the operator to recover.
+const REBUILD_HINT: &str = "rebuild the snapshot with `serve build`";
 
 /// Longest name accepted on read; anything larger indicates corruption
 /// rather than a real query string.
@@ -89,7 +97,7 @@ impl RewriteIndex {
             kind_to_u8(self.meta.method) as u64,
             self.meta.max_rewrites as u64,
             flags,
-            kernel_to_u8(self.meta.kernel) as u64,
+            0, // kernel word: pull, the engine's one kernel
             self.n_queries as u64,
             self.targets.len() as u64,
             self.meta.segments as u64,
@@ -183,8 +191,7 @@ pub(crate) fn check_version(bytes: &[u8]) -> io::Result<()> {
     let version = u32::from_ne_bytes(bytes[8..12].try_into().unwrap());
     if version != VERSION {
         return Err(corrupt(&format!(
-            "unsupported snapshot version {version} (expected {VERSION}; \
-             rebuild the snapshot with `serve build`)"
+            "unsupported snapshot version {version} (expected {VERSION}; {REBUILD_HINT})"
         )));
     }
     Ok(())
@@ -205,10 +212,21 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
         .ok_or_else(|| corrupt("unknown method kind in header"))?;
     let max_rewrites = u32::try_from(meta[1]).map_err(|_| corrupt("max_rewrites out of range"))?;
     let flags = meta[2];
-    let kernel = u8::try_from(meta[3])
-        .ok()
-        .and_then(kernel_from_u8)
-        .ok_or_else(|| corrupt("unknown engine kernel in header"))?;
+    match meta[3] {
+        0 => {}
+        1 | 2 => {
+            return Err(corrupt(&format!(
+                "snapshot was computed by a retired engine kernel (word {}); {REBUILD_HINT}",
+                meta[3]
+            )))
+        }
+        _ => return Err(corrupt("unknown engine kernel in header")),
+    }
+    if flags & FLAG_APPROX != 0 {
+        return Err(corrupt(&format!(
+            "snapshot was computed under approximate sharding; {REBUILD_HINT}"
+        )));
+    }
     let n_queries = meta[4];
     let n_entries = meta[5];
     let segments = u32::try_from(meta[6]).map_err(|_| corrupt("segment count out of range"))?;
@@ -220,8 +238,8 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
             method,
             max_rewrites,
             bid_filtered: flags & FLAG_BID != 0,
-            approx_sharding: flags & FLAG_APPROX != 0,
-            kernel,
+            approx_sharding: false,
+            kernel: KernelKind::Pull,
             segments,
         },
         flags & FLAG_NAMES != 0,
@@ -324,23 +342,6 @@ pub(crate) fn kind_from_u8(b: u8) -> Option<MethodKind> {
     })
 }
 
-pub(crate) fn kernel_to_u8(kernel: KernelKind) -> u8 {
-    match kernel {
-        KernelKind::Pull => 0,
-        KernelKind::Flat => 1,
-        KernelKind::Hashmap => 2,
-    }
-}
-
-pub(crate) fn kernel_from_u8(b: u8) -> Option<KernelKind> {
-    Some(match b {
-        0 => KernelKind::Pull,
-        1 => KernelKind::Flat,
-        2 => KernelKind::Hashmap,
-        _ => return None,
-    })
-}
-
 pub(crate) fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
@@ -395,15 +396,6 @@ mod tests {
         }
         let h = fnv1a(&buf[HEADER_BYTES..end]);
         buf[24..32].copy_from_slice(&h.to_ne_bytes());
-    }
-
-    #[test]
-    fn approx_sharding_flag_survives_roundtrip() {
-        let mut index = fig3_index(MethodKind::Simrank);
-        index.set_approx_sharding(true);
-        let loaded = roundtrip(&index);
-        assert!(loaded.meta().approx_sharding);
-        assert_eq!(loaded.meta(), index.meta());
     }
 
     #[test]
@@ -537,15 +529,74 @@ mod tests {
         let loaded = roundtrip(&index);
         assert_eq!(loaded.meta().kernel, KernelKind::Pull);
         assert_eq!(loaded.meta(), index.meta());
-        // Corrupt the kernel word in the META section (first section, 4th
-        // u64) and re-seal, so the unknown-kernel refusal — not a checksum
-        // error — is what fires.
-        let mut buf = snapshot_bytes(&index);
-        let meta_off = table_end(&buf);
-        buf[meta_off + 24..meta_off + 32].copy_from_slice(&99u64.to_ne_bytes());
-        reseal(&mut buf);
+        let buf = with_kernel_word(&index, 99);
         let err = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("kernel"), "{err}");
+        assert!(err.to_string().contains("unknown engine kernel"), "{err}");
+    }
+
+    /// The v4 bytes of `index` with the kernel word (META, the first
+    /// section, 4th u64) replaced and the arena re-sealed, so the kernel
+    /// check — not a checksum — is what fires.
+    fn with_kernel_word(index: &RewriteIndex, word: u64) -> Vec<u8> {
+        let mut buf = snapshot_bytes(index);
+        let meta_off = table_end(&buf);
+        buf[meta_off + 24..meta_off + 32].copy_from_slice(&word.to_ne_bytes());
+        reseal(&mut buf);
+        buf
+    }
+
+    /// Opens `bytes` from a file through both loaders — heap
+    /// [`RewriteIndex::load`] and zero-copy `MappedIndex::open` — and
+    /// returns both refusals.
+    fn refusals(bytes: &[u8], name: &str) -> [String; 2] {
+        let path = std::env::temp_dir().join(format!(
+            "simrankpp_refusal_{name}_{}.idx",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let heap = RewriteIndex::load(&path).unwrap_err().to_string();
+        let mapped = crate::mapped::MappedIndex::open(&path)
+            .unwrap_err()
+            .to_string();
+        std::fs::remove_file(&path).ok();
+        [heap, mapped]
+    }
+
+    #[test]
+    fn retired_kernel_words_refused_with_rebuild_hint() {
+        let index = fig3_index(MethodKind::Simrank);
+        for word in [1u64, 2] {
+            let buf = with_kernel_word(&index, word);
+            for msg in refusals(&buf, &format!("kernel{word}")) {
+                assert!(msg.contains("retired engine kernel"), "{msg}");
+                assert!(msg.contains(REBUILD_HINT), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn approx_sharding_flag_refused_with_rebuild_hint() {
+        let mut index = fig3_index(MethodKind::Simrank);
+        index.meta.approx_sharding = true;
+        for msg in refusals(&snapshot_bytes(&index), "approx") {
+            assert!(msg.contains("approximate sharding"), "{msg}");
+            assert!(msg.contains(REBUILD_HINT), "{msg}");
+        }
+    }
+
+    #[test]
+    fn pull_exact_snapshot_opens_through_both_loaders() {
+        let index = fig3_index(MethodKind::Simrank);
+        let path =
+            std::env::temp_dir().join(format!("simrankpp_pull_exact_{}.idx", std::process::id()));
+        index.save(&path).unwrap();
+        let heap = RewriteIndex::load(&path).unwrap();
+        let mapped = crate::mapped::MappedIndex::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(heap.meta(), index.meta());
+        assert_eq!(mapped.meta(), index.meta());
+        assert_eq!(mapped.meta().kernel, KernelKind::Pull);
+        assert!(!mapped.meta().approx_sharding);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Fixtures: the paper's Figure 3 graph, the K2,2 complete-bipartite fixture,
 //! and a seeded `synth` random graph — plain and weighted, spread on and off.
 
-use simrankpp::core::engine::{self, reference, UniformTransition, WeightedTransition};
+use simrankpp::core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp::core::simrank::{simrank, simrank_dense};
 use simrankpp::core::weighted::{weighted_simrank_dense, weighted_simrank_with_spread, SpreadMode};
 use simrankpp::core::EvidenceKind;
@@ -75,30 +75,26 @@ fn weighted_with_uniform_weights_equals_plain_engine() {
 }
 
 #[test]
-fn flat_accumulation_matches_hashmap_reference_path() {
-    // The historical hash-map path and the flat sorted-pair path must agree
-    // to rounding for both transitions on every fixture.
+fn engine_run_matches_dense_oracles_for_both_transitions() {
+    // The pull kernel, called directly (no front-end, no evidence
+    // post-processing), against the independent dense oracles on both
+    // sides of the graph.
     for (name, g) in fixtures() {
         let c = cfg(5);
-        let flat_u = engine::run(&g, &c, &UniformTransition);
-        let hash_u = reference::run_hashmap(&g, &c, &UniformTransition);
-        assert!(
-            flat_u.queries.max_abs_diff(&hash_u.queries) < 1e-12,
-            "{name}: uniform drift {}",
-            flat_u.queries.max_abs_diff(&hash_u.queries)
-        );
+        let pull_u = engine::run(&g, &c, &UniformTransition);
+        let dense_u = simrank_dense(&g, &c);
+        let drift = pull_u.queries.max_abs_diff(&dense_u.queries);
+        assert!(drift < 1e-12, "{name}: uniform query drift {drift}");
+        assert!(pull_u.ads.max_abs_diff(&dense_u.ads) < 1e-12);
         let t = WeightedTransition {
             kind: WeightKind::Clicks,
             spread: SpreadMode::Exponential,
         };
-        let flat_w = engine::run(&g, &c, &t);
-        let hash_w = reference::run_hashmap(&g, &c, &t);
-        assert!(
-            flat_w.queries.max_abs_diff(&hash_w.queries) < 1e-12,
-            "{name}: weighted drift {}",
-            flat_w.queries.max_abs_diff(&hash_w.queries)
-        );
-        assert!(flat_w.ads.max_abs_diff(&hash_w.ads) < 1e-12);
+        let pull_w = engine::run(&g, &c, &t);
+        let (dense_wq, dense_wa) = weighted_simrank_dense(&g, &c, SpreadMode::Exponential);
+        let drift = pull_w.queries.max_abs_diff(&dense_wq);
+        assert!(drift < 1e-12, "{name}: weighted query drift {drift}");
+        assert!(pull_w.ads.max_abs_diff(&dense_wa) < 1e-12);
     }
 }
 

@@ -1,31 +1,29 @@
-//! Differential harness for the engine's accumulation kernels.
+//! Differential harness for the engine's one propagation kernel.
 //!
-//! The unified engine runs one Jacobi loop behind three interchangeable
-//! kernels (`SimrankConfig::kernel`): the production **pull** kernel
-//! (row-parallel Gustavson SpGEMM, ISSUE 5), the **flat** scatter–sort–merge
-//! path it replaced, and the historical **hashmap** path. This suite pins
-//! the contracts between them:
+//! The unified engine runs one Jacobi loop on the row-parallel **pull**
+//! kernel (Gustavson SpGEMM over CSR score rows). Its reference is the pair
+//! of dense oracles, `simrank_dense` and `weighted_simrank_dense`: plain
+//! `n × n` matrix iterations that share no code with the sparse path. This
+//! suite pins:
 //!
-//! * all three kernels agree on every fixture — identical stored pair sets
-//!   and scores to rounding at `prune_threshold = 0` (summation *orders*
-//!   differ, so cross-kernel equality is to f64 rounding, not bits), for
-//!   uniform and weighted transitions;
-//! * with pruning the kernels agree on every co-stored pair, and any pair
-//!   set difference is confined to knife-edge values at the threshold
-//!   (a per-value `v > t` decision on values that differ only in rounding);
-//! * the pull kernel is **bit-deterministic across thread counts** — worker
-//!   chunk boundaries never touch a row's accumulation order;
-//! * pull == pull under sharding and incremental recompute, **bit for bit,
-//!   above the flat path's 2²⁰-contribution flush threshold** — the scale
-//!   where `engine::accum` documented that the flat path's sharded
-//!   guarantee degraded to "equal modulo rounding" because run boundaries
-//!   could reassociate partial sums. The pull kernel has no flush; this is
-//!   the regression test that the divergence is gone.
+//! * pull == dense oracle to 1e-12 at `prune_threshold = 0`, for uniform and
+//!   weighted transitions, on both sides of generated graphs;
+//! * with pruning threshold `t`, pull stays within the stated bound
+//!   `t / (1 − C)` of the unpruned dense oracle (each iteration drops only
+//!   values ≤ `t`, and one propagation step shrinks an inherited error by
+//!   `C`, because every row's walk factors sum to at most 1);
+//! * pull is **bit-deterministic across thread counts** — worker chunk
+//!   boundaries never touch a row's accumulation order;
+//! * pull == pull under sharding and incremental recompute, **bit for bit**,
+//!   including half-steps above 2²⁰ scatter contributions: the kernel
+//!   materializes no contribution stream, so nothing at that scale can
+//!   reassociate a pair's partial sums.
 
 use proptest::prelude::*;
 use simrankpp::core::engine::{self, UniformTransition, WeightedTransition};
-use simrankpp::core::weighted::SpreadMode;
-use simrankpp::core::{KernelKind, ScoreMatrix};
+use simrankpp::core::simrank::simrank_dense;
+use simrankpp::core::weighted::{weighted_simrank_dense, SpreadMode};
+use simrankpp::core::ScoreMatrix;
 use simrankpp::graph::delta::GraphDelta;
 use simrankpp::graph::Sharding;
 use simrankpp::prelude::*;
@@ -40,11 +38,10 @@ fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> Cli
     generate(&gen).graph
 }
 
-fn cfg(k: usize, kernel: KernelKind) -> SimrankConfig {
+fn cfg(k: usize) -> SimrankConfig {
     SimrankConfig::paper()
         .with_iterations(k)
         .with_weight_kind(WeightKind::Clicks)
-        .with_kernel(kernel)
 }
 
 fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
@@ -59,91 +56,59 @@ fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
     }
 }
 
-/// Same pair set, scores equal to `tol` — the cross-kernel contract at
-/// `prune_threshold = 0`, where no knife-edge drops are possible.
-fn assert_same_support_close(a: &ScoreMatrix, b: &ScoreMatrix, tol: f64, what: &str) {
-    assert_eq!(a.n_pairs(), b.n_pairs(), "{what}: pair count");
-    for ((a1, b1, v1), (a2, b2, v2)) in a.iter().zip(b.iter()) {
-        assert_eq!((a1, b1), (a2, b2), "{what}: pair set diverged");
-        assert!(
-            (v1 - v2).abs() < tol,
-            "{what}: pair ({a1}, {b1}) drifted by {:e}",
-            (v1 - v2).abs()
-        );
-    }
-}
-
-/// With pruning, kernels may disagree only on knife-edge pairs: co-stored
-/// pairs match to `tol`, union-only pairs sit within rounding of the
-/// threshold itself.
-fn assert_close_modulo_prune(a: &ScoreMatrix, b: &ScoreMatrix, prune: f64, tol: f64, what: &str) {
-    for (x, y, v) in a.iter() {
-        let other = b.get(x, y);
-        if other == 0.0 {
-            assert!(
-                (v - prune).abs() < prune * 1e-9 + tol,
-                "{what}: pair ({x}, {y}) = {v:e} missing from other side, not knife-edge"
-            );
-        } else {
-            assert!((v - other).abs() < tol, "{what}: pair ({x}, {y}) drifted");
-        }
-    }
-    for (x, y, v) in b.iter() {
-        if a.get(x, y) == 0.0 {
-            assert!(
-                (v - prune).abs() < prune * 1e-9 + tol,
-                "{what}: pair ({x}, {y}) = {v:e} missing from other side, not knife-edge"
-            );
-        }
-    }
+fn assert_within(a: &ScoreMatrix, b: &ScoreMatrix, bound: f64, what: &str) {
+    let drift = a.max_abs_diff(b);
+    assert!(drift <= bound, "{what}: drift {drift:e} exceeds {bound:e}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn all_three_kernels_agree_unpruned(
+    fn pull_matches_dense_oracle_unpruned(
         n_topics in 1usize..5,
         n_queries in 30usize..110,
         seed in 0u64..1_000_000,
         dense_sel in 0u8..2,
     ) {
         let g = synth_graph(n_topics, n_queries, seed, dense_sel == 1);
+        let c = cfg(5);
+        let pull_u = engine::run(&g, &c, &UniformTransition);
+        let dense_u = simrank_dense(&g, &c);
+        assert_within(&pull_u.queries, &dense_u.queries, 1e-12, "uniform queries");
+        assert_within(&pull_u.ads, &dense_u.ads, 1e-12, "uniform ads");
+
         let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
-        let runs: Vec<_> = [KernelKind::Pull, KernelKind::Flat, KernelKind::Hashmap]
-            .into_iter()
-            .map(|k| {
-                (
-                    engine::run(&g, &cfg(5, k), &UniformTransition),
-                    engine::run(&g, &cfg(5, k), &t),
-                )
-            })
-            .collect();
-        for (name, other) in [("flat", &runs[1]), ("hashmap", &runs[2])] {
-            assert_same_support_close(&runs[0].0.queries, &other.0.queries, 1e-12,
-                &format!("uniform queries vs {name}"));
-            assert_same_support_close(&runs[0].0.ads, &other.0.ads, 1e-12,
-                &format!("uniform ads vs {name}"));
-            assert_same_support_close(&runs[0].1.queries, &other.1.queries, 1e-12,
-                &format!("weighted queries vs {name}"));
-            prop_assert_eq!(&runs[0].0.pair_counts, &other.0.pair_counts);
-            prop_assert_eq!(runs[0].0.iterations_run, other.0.iterations_run);
-        }
+        let pull_w = engine::run(&g, &c, &t);
+        let (dense_wq, dense_wa) = weighted_simrank_dense(&g, &c, SpreadMode::Exponential);
+        assert_within(&pull_w.queries, &dense_wq, 1e-12, "weighted queries");
+        assert_within(&pull_w.ads, &dense_wa, 1e-12, "weighted ads");
+        prop_assert_eq!(pull_u.iterations_run, 5);
     }
 
     #[test]
-    fn kernels_agree_modulo_knife_edge_when_pruned(
+    fn pruned_pull_stays_within_stated_bound_of_dense_oracle(
         n_queries in 40usize..120,
         seed in 0u64..1_000_000,
     ) {
         let g = synth_graph(3, n_queries, seed, true);
         let prune = 1e-4;
-        let pull = engine::run(
-            &g, &cfg(6, KernelKind::Pull).with_prune_threshold(prune), &UniformTransition);
-        let flat = engine::run(
-            &g, &cfg(6, KernelKind::Flat).with_prune_threshold(prune), &UniformTransition);
-        assert_close_modulo_prune(&pull.queries, &flat.queries, prune, 1e-12, "pruned queries");
-        assert_close_modulo_prune(&pull.ads, &flat.ads, prune, 1e-12, "pruned ads");
+        let c = cfg(6);
+        // e_{k+1} ≤ C·e_k + t from e_0 = 0, so e_k < t / (1 − C) = 5t at
+        // C = 0.8; 1e-12 covers rounding.
+        let bound = prune / (1.0 - c.c1) + 1e-12;
+        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        let pruned_u = engine::run(&g, &c.with_prune_threshold(prune), &UniformTransition);
+        let dense_u = simrank_dense(&g, &c);
+        assert_within(&pruned_u.queries, &dense_u.queries, bound, "pruned uniform queries");
+        assert_within(&pruned_u.ads, &dense_u.ads, bound, "pruned uniform ads");
+        let pruned_w = engine::run(&g, &c.with_prune_threshold(prune), &t);
+        let (dense_wq, dense_wa) = weighted_simrank_dense(&g, &c, SpreadMode::Exponential);
+        assert_within(&pruned_w.queries, &dense_wq, bound, "pruned weighted queries");
+        assert_within(&pruned_w.ads, &dense_wa, bound, "pruned weighted ads");
+        for (_, _, v) in pruned_u.queries.iter().chain(pruned_w.queries.iter()) {
+            prop_assert!(v > prune);
+        }
     }
 
     #[test]
@@ -154,7 +119,7 @@ proptest! {
     ) {
         let g = synth_graph(3, n_queries, seed, true);
         let prune = if pruned_sel == 1 { 1e-5 } else { 0.0 };
-        let base = cfg(5, KernelKind::Pull).with_prune_threshold(prune);
+        let base = cfg(5).with_prune_threshold(prune);
         let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
         let serial_u = engine::run(&g, &base, &UniformTransition);
         let serial_w = engine::run(&g, &base, &t);
@@ -174,12 +139,10 @@ proptest! {
         n_queries in 40usize..100,
         seed in 0u64..1_000_000,
     ) {
-        // The PR 3/4 guarantees restated explicitly for the pull kernel:
         // sharded == monolithic and incremental == from-scratch, bit for
-        // bit (the dedicated suites exercise these paths in depth; this
-        // case pins them to KernelKind::Pull by construction).
+        // bit (the dedicated suites exercise these paths in depth).
         let g = synth_graph(n_topics, n_queries, seed, false);
-        let c = cfg(5, KernelKind::Pull);
+        let c = cfg(5);
         let mono = engine::run(&g, &c, &UniformTransition);
         let sharding = Sharding::from_components(&g);
         let shard = engine::run_sharded(&g, &c, &UniformTransition, &sharding);
@@ -199,8 +162,7 @@ proptest! {
 }
 
 /// Seeded multi-blob bipartite graph dense enough that one Jacobi half-step
-/// generates more scatter contributions than the flat accumulator's 2²⁰
-/// flush threshold.
+/// carries more than 2²⁰ scatter contributions.
 fn dense_blobs(blocks: u32, q_per: u32, a_per: u32, deg: u32, seed: u64) -> ClickGraph {
     let mut b = ClickGraphBuilder::new();
     let mut x = seed | 1;
@@ -223,8 +185,8 @@ fn dense_blobs(blocks: u32, q_per: u32, a_per: u32, deg: u32, seed: u64) -> Clic
 }
 
 /// Exact scatter-contribution count of the next query-side half-step:
-/// `Σ_{(i,j) stored ad pairs} N(i)·N(j) + Σ_i C(N(i), 2)` — what the flat
-/// kernel would have to buffer, sort, and merge.
+/// `Σ_{(i,j) stored ad pairs} N(i)·N(j) + Σ_i C(N(i), 2)` — what a
+/// scatter-style kernel would have to buffer, sort, and merge.
 fn query_side_contributions(g: &ClickGraph, ads: &ScoreMatrix) -> usize {
     let stored: usize = ads
         .iter()
@@ -242,20 +204,18 @@ fn query_side_contributions(g: &ClickGraph, ads: &ScoreMatrix) -> usize {
 #[test]
 fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
     // Two components, each alone pushing a half-step past 2^20
-    // contributions — the regime where `engine::accum` documents that the
-    // flat path's run boundaries (which move with thread count and with
-    // shard extents) could reassociate a pair's partial sums, degrading
-    // sharded == monolithic to "equal modulo rounding". The pull kernel
-    // never materializes contributions, so chunking must change nothing:
-    // bit-identical across thread counts AND across the component stitch.
+    // contributions — the scale at which a buffered scatter kernel has to
+    // flush, and flush boundaries (which move with thread count and shard
+    // extents) can reassociate a pair's partial sums. The pull kernel never
+    // materializes contributions, so chunking must change nothing:
+    // bit-identical across thread counts, across the component stitch, and
+    // through an incremental recompute.
     let g = dense_blobs(2, 220, 70, 12, 0xC0FFEE);
-    let c = SimrankConfig::paper()
-        .with_iterations(3)
-        .with_kernel(KernelKind::Pull);
+    let c = SimrankConfig::paper().with_iterations(3);
     let serial = engine::run(&g, &c, &UniformTransition);
     assert!(
         query_side_contributions(&g, &serial.ads) > 1 << 20,
-        "fixture must exceed the old FLUSH_AT scale, got {}",
+        "fixture must exceed 2^20 contributions per half-step, got {}",
         query_side_contributions(&g, &serial.ads)
     );
 
@@ -270,24 +230,40 @@ fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
     let sharded = engine::run_sharded(&g, &c.with_threads(2), &UniformTransition, &sharding);
     assert_bit_identical(&serial.queries, &sharded.queries, "sharded queries");
     assert_bit_identical(&serial.ads, &sharded.ads, "sharded ads");
+
+    // Dirty the first blob only: its recompute runs above 2^20 too, and the
+    // clean blob is carried over verbatim.
+    let mut d = GraphDelta::new();
+    d.upsert(QueryId(0), AdId(1), EdgeData::from_clicks(5));
+    let g1 = d.apply(&g);
+    let dirty = d.dirty_components(&g1);
+    let inc = engine::run_incremental(
+        &g1,
+        &c.with_threads(2),
+        &UniformTransition,
+        &serial.queries,
+        &serial.ads,
+        &dirty,
+    );
+    let scratch = engine::run(&g1, &c, &UniformTransition);
+    assert!(inc.reused_query_pairs > 0, "the clean blob must be reused");
+    assert_bit_identical(&scratch.queries, &inc.run.queries, "incremental queries");
+    assert_bit_identical(&scratch.ads, &inc.run.ads, "incremental ads");
 }
 
 #[test]
-fn hashmap_kernel_runs_the_full_engine_surface() {
-    // The hashmap oracle is a real kernel, not a side path: diagnostics,
-    // early exit, and the sharded stitch all work through it.
+fn pull_kernel_runs_the_full_engine_surface() {
+    // Diagnostics, the sharded stitch and early exit all run through the
+    // one kernel.
     let g = synth_graph(2, 50, 7, false);
-    let c = cfg(4, KernelKind::Hashmap);
+    let c = cfg(4);
     let r = engine::run(&g, &c, &UniformTransition);
     assert_eq!(r.pair_counts.len(), 4);
     assert_eq!(r.max_deltas.len(), 4);
     let sharding = Sharding::from_components(&g);
     let s = engine::run_sharded(&g, &c, &UniformTransition, &sharding);
-    assert_bit_identical(&r.queries, &s.queries, "hashmap sharded queries");
-    let tol = engine::run(
-        &g,
-        &cfg(200, KernelKind::Hashmap).with_tolerance(1e-8),
-        &UniformTransition,
-    );
+    assert_bit_identical(&r.queries, &s.queries, "sharded queries");
+    let tol = engine::run(&g, &cfg(200).with_tolerance(1e-8), &UniformTransition);
     assert!(tol.converged);
+    assert!(tol.iterations_run < 200);
 }

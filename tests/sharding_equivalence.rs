@@ -277,26 +277,3 @@ fn sharding_handles_singleton_and_empty_components() {
     assert_eq!(shard.queries.get(3, 4), 0.0);
     assert_eq!(shard.queries.get(3, 3), 1.0);
 }
-
-#[test]
-fn sharding_extraction_strategy_stays_block_local_and_bounded() {
-    // Extracted sharding is approximate (cut edges change scores — SimRank
-    // is not monotone in the edge set), so no bit-level claim holds. What
-    // must hold: every stored pair lies inside one block of an overlap-free
-    // cover, scores stay in (0, 1], and pairs from different *components*
-    // of the parent graph still never appear (blocks are induced subgraphs,
-    // so they cannot bridge components).
-    let g = synth_graph(5, 120, 11, false, true);
-    let approx = simrankpp::core::simrank(&g, &cfg(5).with_sharding(ShardStrategy::Extracted(3)));
-    let labels = connected_components(&g);
-    for (a, b, v) in approx.queries.iter() {
-        assert!(v > 0.0 && v <= 1.0 + 1e-12);
-        assert_eq!(
-            labels.query_label[a as usize], labels.query_label[b as usize],
-            "extracted sharding bridged two components: ({a}, {b})"
-        );
-    }
-    let sharding = simrankpp::partition::extraction_sharding(&g, 3);
-    sharding.validate_disjoint().unwrap();
-    assert!(!sharding.exact);
-}
