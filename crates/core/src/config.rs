@@ -65,7 +65,9 @@ pub struct SimrankConfig {
     /// Which §2 edge weight weighted SimRank and Pearson consume.
     pub weight_kind: WeightKind,
     /// Worker threads for the sparse engines. `1` = serial (deterministic
-    /// to the last bit), `0` = use all available cores.
+    /// to the last bit), `0` = use all available cores. The single-source
+    /// diagonal precompute ignores it and always uses every core: its result
+    /// is bit-identical at any worker count.
     pub threads: usize,
     /// Graph decomposition the unified engine applies before propagating:
     /// monolithic or per-component runs (both exact). Defaults on

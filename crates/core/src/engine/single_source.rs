@@ -52,9 +52,11 @@
 //! * [`DiagonalCorrection::estimate`] — no all-pairs run: the diagonal
 //!   constraints `diag(S_Q) = 1`, `diag(S_A) = 1` form a linear system in
 //!   `(d_Q, d_A)` whose coefficients are squared walk masses. Each node's
-//!   sparse coefficient row is computed once (pruned truncated walks,
-//!   parallelized with [`run_chunked`]), then cheap Gauss–Seidel sweeps
-//!   solve for `d` — the sweep matrix is a contraction with factor ≈ `c`.
+//!   sparse coefficient row is computed once (pruned truncated walks summed
+//!   level by level in dense accumulators, on every core via [`run_chunked`];
+//!   rows come back in node order, so `d` is independent of the worker
+//!   count), then cheap Gauss–Seidel sweeps solve for `d` — the sweep
+//!   matrix is a contraction with factor ≈ `c`.
 
 use crate::config::{EngineMode, SimrankConfig};
 use crate::engine::parallel::run_chunked;
@@ -74,6 +76,8 @@ const ESTIMATE_TARGET: f64 = 1e-4;
 const ESTIMATE_WALK_PRUNE: f64 = 1e-4;
 /// Coefficient-row entries below this are not stored.
 const ESTIMATE_COEFF_EPS: f64 = 1e-9;
+/// Drains of at least `1/DENSE_DRAIN_SHARE` of a side scan instead of sort.
+const DENSE_DRAIN_SHARE: usize = 8;
 /// Gauss–Seidel sweep budget / convergence cutoff for the `d` solve.
 const MAX_SWEEPS: usize = 128;
 const SWEEP_TOL: f64 = 1e-12;
@@ -156,147 +160,113 @@ impl DiagonalCorrection {
     /// ```
     ///
     /// with `u_j = (Tᵀ)^j e_v` (resp. `z_j = (Tᵀ)^j Bᵀe_a`). The sparse
-    /// coefficient rows are built once per node — the expensive part, run
-    /// chunk-parallel across `threads` — then Gauss–Seidel sweeps solve the
-    /// system: every row's diagonal coefficient dominates (the `j = 0` term
+    /// coefficient rows (levels summed in dense accumulators, one exact-size
+    /// copy kept) are built once per node on every core, ignoring
+    /// `config.threads`: rows are independent and come back in node order,
+    /// so the correction is bit-identical for any worker count. Serial
+    /// Gauss–Seidel sweeps then solve the system:
+    /// every row's diagonal coefficient dominates (the `j = 0` term
     /// contributes a full 1), so the sweeps contract with factor ≈ `c`.
     pub fn estimate(
         g: &ClickGraph,
         factors: &TransitionFactorsArena<'_>,
         config: &SimrankConfig,
     ) -> Self {
-        let c1 = config.c1;
-        let c2 = config.c2;
+        Self::estimate_with_workers(g, factors, config, 0)
+    }
+
+    /// [`DiagonalCorrection::estimate`] with the row build on exactly
+    /// `workers` threads (`0` = every core): the seam that tests the
+    /// result's independence from the worker count.
+    #[doc(hidden)]
+    pub fn estimate_with_workers(
+        g: &ClickGraph,
+        factors: &TransitionFactorsArena<'_>,
+        config: &SimrankConfig,
+        workers: usize,
+    ) -> Self {
+        let (c1, c2, nq) = (config.c1, config.c2, g.n_queries());
         let c = c1 * c2;
         let levels = levels_for(c, ESTIMATE_TARGET);
         let prune = config.prune_threshold.max(ESTIMATE_WALK_PRUNE);
-        let threads = config.effective_threads();
+        assert!(nq + g.n_ads() <= u32::MAX as usize, "ids overflow u32");
 
-        // One coefficient row per query: (over d_Q, over d_A).
-        type Row = (Vec<(u32, f64)>, Vec<(u32, f64)>);
-        let q_rows: Vec<Row> = run_chunked(g.n_queries(), threads, |range| {
-            let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
-            let mut out = Vec::with_capacity(range.len());
+        // One coefficient row per node — queries `0..nq`, then ads — over
+        // the stacked unknowns `d = (d_Q, d_A)` (ad ids offset by `nq`).
+        let rows: Vec<Vec<(u32, f64)>> = run_chunked(nq + g.n_ads(), workers, |range| {
+            let mut ws = RowWorkspace::new(nq, g.n_ads());
+            let mut u0 = Vec::new();
+            let mut rows = Vec::with_capacity(range.len());
             for v in range {
-                ws.forward(g, factors, &[(v as u32, 1.0)], levels, prune);
-                out.push(coefficient_row(&ws, c, c1, 1.0));
+                u0.clear();
+                let scale = if v < nq {
+                    u0.push((v as u32, 1.0));
+                    1.0
+                } else {
+                    // z_0 = Bᵀ e_a: ad a's row of F(a, ·), a query-space vector.
+                    let a = AdId((v - nq) as u32);
+                    let lo = g.ad_csr_offset(a);
+                    let qs = g.queries_of(a).0.iter().enumerate();
+                    u0.extend(qs.map(|(x, &q)| (q.0, factors.query_to_ad_by_ad[lo + x])));
+                    c2
+                };
+                ws.forward(g, factors, &u0, levels, prune);
+                rows.push(coefficient_row(&mut ws, c, c1, scale));
             }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let a_rows: Vec<Row> = run_chunked(g.n_ads(), threads, |range| {
-            let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
-            let mut z0: Vec<(u32, f64)> = Vec::new();
-            let mut out = Vec::with_capacity(range.len());
-            for a in range {
-                // z_0 = Bᵀ e_a: ad a's row of F(a, ·), a query-space vector.
-                z0.clear();
-                let (qs, _) = g.queries_of(AdId(a as u32));
-                let lo = g.ad_csr_offset(AdId(a as u32));
-                for (x, &q) in qs.iter().enumerate() {
-                    z0.push((q.0, factors.query_to_ad_by_ad[lo + x]));
-                }
-                ws.forward(g, factors, &z0, levels, prune);
-                out.push(coefficient_row(&ws, c, c1, c2));
-            }
-            out
+            rows
         })
         .into_iter()
         .flatten()
         .collect();
 
-        // Gauss–Seidel on: q_rows[v]·d = 1   and   d_A[a] + a_rows[a]·d = 1.
-        let mut d_query = vec![1.0; g.n_queries()];
-        let mut d_ad = vec![1.0; g.n_ads()];
+        // Gauss–Seidel on `rows[q]·d = 1` and `d_A[a] + rows[a]·d = 1`; the
+        // j = 0 term guarantees a query row's diagonal coefficient is ≥ 1.
+        let mut d = vec![1.0; rows.len()];
         for _ in 0..MAX_SWEEPS {
             let mut max_delta = 0.0f64;
-            for (v, (pq, pa)) in q_rows.iter().enumerate() {
-                let mut diag = 0.0;
-                let mut rest = 0.0;
-                for &(w, coef) in pq {
+            for (v, row) in rows.iter().enumerate() {
+                let (mut diag, mut rest) = (if v < nq { 0.0 } else { 1.0 }, 0.0);
+                for &(w, coef) in row {
                     if w as usize == v {
                         diag += coef;
                     } else {
-                        rest += coef * d_query[w as usize];
-                    }
-                }
-                for &(a, coef) in pa {
-                    rest += coef * d_ad[a as usize];
-                }
-                // The j = 0 term guarantees diag ≥ 1.
-                let next = (1.0 - rest) / diag;
-                max_delta = max_delta.max((next - d_query[v]).abs());
-                d_query[v] = next;
-            }
-            for (a, (rq, sa)) in a_rows.iter().enumerate() {
-                let mut diag = 1.0;
-                let mut rest = 0.0;
-                for &(w, coef) in rq {
-                    rest += coef * d_query[w as usize];
-                }
-                for &(b, coef) in sa {
-                    if b as usize == a {
-                        diag += coef;
-                    } else {
-                        rest += coef * d_ad[b as usize];
+                        rest += coef * d[w as usize];
                     }
                 }
                 let next = (1.0 - rest) / diag;
-                max_delta = max_delta.max((next - d_ad[a]).abs());
-                d_ad[a] = next;
+                max_delta = max_delta.max((next - d[v]).abs());
+                d[v] = next;
             }
             if max_delta <= SWEEP_TOL {
                 break;
             }
         }
-        DiagonalCorrection { d_query, d_ad }
+        let d_ad = d.split_off(nq);
+        DiagonalCorrection { d_query: d, d_ad }
     }
 }
 
-/// A sparse coefficient row pair: weights over `d_Q` and over `d_A`.
-type CoeffRow = (Vec<(u32, f64)>, Vec<(u32, f64)>);
-
 /// Folds the workspace's stored walk levels into one sparse coefficient row
-/// pair: `scale·Σ_j c^j u_j[w]²` over queries and `scale·C1·Σ_j c^j y_j[a]²`
-/// over ads.
-fn coefficient_row(ws: &RowWorkspace, c: f64, c1: f64, scale: f64) -> CoeffRow {
-    let mut over_q: Vec<(u32, f64)> = Vec::new();
-    let mut over_a: Vec<(u32, f64)> = Vec::new();
+/// over `(d_Q, d_A)`: `scale·Σ_j c^j u_j[w]²` at query `w`, then
+/// `scale·C1·Σ_j c^j y_j[a]²` at `n_queries + a`. The levels are summed in
+/// the (clean) dense accumulators and drained at `ESTIMATE_COEFF_EPS` into
+/// an exact-size row.
+fn coefficient_row(ws: &mut RowWorkspace, c: f64, c1: f64, scale: f64) -> Vec<(u32, f64)> {
     let mut weight = scale;
     for (u, y) in ws.levels_u.iter().zip(&ws.levels_y) {
         for &(w, x) in u {
-            over_q.push((w, weight * x * x));
+            ws.acc_q.add(w, weight * x * x);
         }
         for &(a, x) in y {
-            over_a.push((a, weight * c1 * x * x));
+            ws.acc_a.add(a, weight * c1 * x * x);
         }
         weight *= c;
     }
-    merge_coeffs(&mut over_q);
-    merge_coeffs(&mut over_a);
-    (over_q, over_a)
-}
-
-/// Sorts, sums duplicates, and drops negligible coefficient entries.
-fn merge_coeffs(row: &mut Vec<(u32, f64)>) {
-    row.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = 0usize;
-    let mut i = 0usize;
-    while i < row.len() {
-        let (id, mut sum) = row[i];
-        i += 1;
-        while i < row.len() && row[i].0 == id {
-            sum += row[i].1;
-            i += 1;
-        }
-        if sum > ESTIMATE_COEFF_EPS {
-            row[out] = (id, sum);
-            out += 1;
-        }
-    }
-    row.truncate(out);
+    ws.acc_q.drain_into(ESTIMATE_COEFF_EPS, &mut ws.v);
+    ws.acc_a.drain_into(ESTIMATE_COEFF_EPS, &mut ws.m);
+    let nq = ws.acc_q.val.len() as u32;
+    let over_a = ws.m.iter().map(|&(a, x)| (nq + a, x));
+    ws.v.iter().copied().chain(over_a).collect()
 }
 
 /// Dense-scratch sparse accumulator over one node side: `O(1)` adds, drained
@@ -326,22 +296,31 @@ impl Accum {
     /// Zeroes every touched entry without emitting: the recovery path for an
     /// accumulator an abandoned (panicked) computation left dirty.
     fn reset(&mut self) {
-        for &i in &self.touched {
-            self.val[i as usize] = 0.0;
-        }
-        self.touched.clear();
+        self.drain_into(f64::INFINITY, &mut Vec::new());
     }
 
-    /// Moves the accumulated entries (ascending id, pruned at `prune`) into
-    /// `out`, resetting the accumulator for reuse.
+    /// Moves the accumulated entries (ascending id, pruned at `prune ≥ 0`)
+    /// into `out`, resetting the accumulator for reuse. A touched list
+    /// covering a large share of the side is not sorted: scanning the dense
+    /// array yields the same list, since every nonzero entry was touched.
     fn drain_into(&mut self, prune: f64, out: &mut Vec<(u32, f64)>) {
         out.clear();
-        self.touched.sort_unstable();
-        for &i in &self.touched {
-            let v = self.val[i as usize];
-            self.val[i as usize] = 0.0;
+        let mut emit = |i: u32, slot: &mut f64| {
+            let v = std::mem::take(slot);
             if v.abs() > prune {
                 out.push((i, v));
+            }
+        };
+        if self.touched.len() * DENSE_DRAIN_SHARE >= self.val.len() {
+            for (i, slot) in self.val.iter_mut().enumerate() {
+                if *slot != 0.0 {
+                    emit(i as u32, slot);
+                }
+            }
+        } else {
+            self.touched.sort_unstable();
+            for &i in &self.touched {
+                emit(i, &mut self.val[i as usize]);
             }
         }
         self.touched.clear();
@@ -783,6 +762,27 @@ mod tests {
         assert!(0.64f64.powi(j as i32 + 1) / 0.36 <= 1e-8);
         assert!(0.64f64.powi(j as i32) / 0.36 > 1e-8);
         assert_eq!(levels_for(0.0, 1e-8), 0);
+    }
+
+    #[test]
+    fn sorted_and_dense_drains_agree() {
+        // Seven touched entries — under the prune, negative, and id 3 summing
+        // to exactly 0.0 before a re-add — drained from a side of 1000 (sort)
+        // and of 12 (dense scan).
+        let drain = |n: usize| {
+            let mut acc = Accum::new(n);
+            let vals = [0.25, -0.5, 1e-12, 0.75, -0.75, -2e-12, 0.125, -1e-3];
+            for (i, v) in [5, 1, 7, 3, 3, 9, 3, 0].into_iter().zip(vals) {
+                acc.add(i, v);
+            }
+            let mut out = vec![(99, 9.0)];
+            acc.drain_into(1e-9, &mut out);
+            assert!(acc.touched.is_empty() && acc.val.iter().all(|&v| v == 0.0));
+            out
+        };
+        let sorted = drain(1000);
+        assert_eq!(sorted, vec![(0, -1e-3), (1, -0.5), (3, 0.125), (5, 0.25)]);
+        assert_eq!(drain(12), sorted);
     }
 
     #[test]

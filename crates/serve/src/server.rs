@@ -355,14 +355,37 @@ impl LiveState {
     }
 
     /// Replaces the context with one built over `graph` and drops every
-    /// cached row (they priced the previous generation's scores). Recovers
-    /// a poisoned lock: the replacement is a whole-value assignment of a
-    /// fully-constructed context, consistent no matter what state the
-    /// previous holder left behind.
+    /// cached row (they priced the previous generation's scores).
     fn rebuild(&self, graph: ClickGraph) -> Result<(), String> {
+        self.rebuild_with(graph, LiveContext::new)
+    }
+
+    /// [`LiveState::rebuild`] with the context constructor passed in. The
+    /// lock is held only to read the build parameters and to swap: the
+    /// seconds-long precompute runs outside it, so cold queries and cache
+    /// hits keep being answered from the old generation meanwhile. Swap and
+    /// invalidation share one critical section, and `serve` computes and
+    /// inserts under the same lock, so no old-generation row lands after
+    /// the swap. Recovers a poisoned lock: the swap is a whole-value
+    /// assignment of a fully-constructed context, consistent no matter what
+    /// state the previous holder left behind.
+    fn rebuild_with(
+        &self,
+        graph: ClickGraph,
+        build: impl FnOnce(
+            ClickGraph,
+            MethodKind,
+            SimrankConfig,
+            RewriterConfig,
+        ) -> Result<LiveContext, String>,
+    ) -> Result<(), String> {
+        let (method, config, rewriter) = {
+            let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
+            (ctx.method, ctx.config, ctx.rewriter)
+        };
+        let next = build(graph, method, config, rewriter)?;
         let mut ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-        let (method, config, rewriter) = (ctx.method, ctx.config, ctx.rewriter);
-        *ctx = LiveContext::new(graph, method, config, rewriter)?;
+        *ctx = next;
         self.cache.invalidate();
         Ok(())
     }
@@ -1311,6 +1334,39 @@ mod tests {
         assert_ne!(lines[2], lines[0], "boosted edge must change pc's answer");
         assert!(lines[3].contains("cache_generation=1"), "{out}");
         assert!(lines[3].contains("cache_entries=1"), "{out}");
+    }
+
+    #[test]
+    fn cached_rewrite_is_answered_while_a_rebuild_builds() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let state = live_state();
+        let cold = run_on(&state, "rewrite camera\n");
+        let live = state.live.as_ref().unwrap();
+        let (started_tx, started_rx) = mpsc::channel();
+        let (served_tx, served_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let rebuild = scope.spawn(move || {
+                live.rebuild_with(figure3_graph(), |graph, method, config, rewriter| {
+                    started_tx.send(()).unwrap();
+                    // Holds the build open until the cached answer is out;
+                    // the timeout turns a build that blocks readers into a
+                    // failed assertion instead of a deadlock.
+                    let served = served_rx.recv_timeout(Duration::from_secs(30));
+                    assert!(served.is_ok(), "cached rewrite stalled behind the rebuild");
+                    LiveContext::new(graph, method, config, rewriter)
+                })
+            });
+            started_rx.recv().unwrap();
+            let warm = run_on(&state, "rewrite camera\n");
+            served_tx.send(()).unwrap();
+            assert_eq!(warm, cold, "mid-rebuild answer must be the cached row");
+            rebuild.join().unwrap().unwrap();
+        });
+        // The swap emptied the cache into a new generation.
+        let stats = state.cache_stats().unwrap();
+        let seen = (stats.hits, stats.entries, stats.generation);
+        assert_eq!(seen, (1, 0, 1), "{stats:?}");
     }
 
     #[test]

@@ -184,6 +184,49 @@ proptest! {
     }
 }
 
+/// The diagonal precompute builds its coefficient rows on every core,
+/// whatever `SimrankConfig::threads` says. On a graph with both sides past
+/// the parallel threshold (1024 items) the chunked path really runs: its
+/// correction must be bit-identical at any worker count and stay within the
+/// estimator's 5e-3 envelope of the exact correction.
+#[test]
+fn estimated_correction_is_worker_count_free_and_near_exact() {
+    let g = synth_graph(8, 1600, 0x5EED, false);
+    assert!(
+        g.n_queries() >= 1024 && g.n_ads() >= 1024,
+        "graph too small for the parallel path: {} queries, {} ads",
+        g.n_queries(),
+        g.n_ads()
+    );
+    let c = oracle_cfg();
+    let factors = UniformTransition.factors(&g);
+    let bits = |d: &DiagonalCorrection| -> Vec<u64> {
+        d.d_query
+            .iter()
+            .chain(&d.d_ad)
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let serial = DiagonalCorrection::estimate_with_workers(&g, &factors, &c, 1);
+    for workers in [2, 4] {
+        let d = DiagonalCorrection::estimate_with_workers(&g, &factors, &c, workers);
+        assert!(
+            bits(&d) == bits(&serial),
+            "{workers} workers changed the correction"
+        );
+    }
+
+    let run = engine::run(&g, &c, &UniformTransition);
+    let exact = DiagonalCorrection::from_scores(&g, &factors, c.c1, c.c2, &run.queries, &run.ads);
+    let exact = exact.d_query.iter().chain(&exact.d_ad);
+    for (i, (e, s)) in exact
+        .zip(serial.d_query.iter().chain(&serial.d_ad))
+        .enumerate()
+    {
+        assert!((e - s).abs() < 5e-3, "d[{i}]: exact {e} vs estimated {s}");
+    }
+}
+
 mod serve_cache {
     use super::*;
     use simrankpp::serve::{serve_session, IndexMeta, LiveContext, RewriteIndex, ServeState};
