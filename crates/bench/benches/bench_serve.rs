@@ -40,7 +40,7 @@ fn serve(c: &mut Criterion) {
         b.iter(|| {
             let mut depth = 0usize;
             for _ in 0..LOOKUPS_PER_ITER {
-                depth += index.rewrites_of(QueryId(q)).len();
+                depth += index.row(QueryId(q)).len();
                 q = (q + 1) % n;
             }
             black_box(depth)
@@ -50,7 +50,7 @@ fn serve(c: &mut Criterion) {
         b.iter(|| {
             let mut depth = 0usize;
             for name in &names {
-                depth += index.lookup(name).map_or(0, |s| s.len());
+                depth += index.lookup(name).map_or(0, |q| index.row(q).len());
             }
             black_box(depth)
         })

@@ -38,7 +38,7 @@
 //! `--tier 1m` replaces the default series with the beyond-RAM scale proof
 //! (`BENCH_scale.json`): a ~1M-query federated store is streamed to disk,
 //! index-built segment-at-a-time under a peak-RSS ceiling, and served via
-//! `MappedIndex` whose open time must stay flat from 10k to 1M queries.
+//! `RewriteIndex::open` whose open time must stay flat from 10k to 1M queries.
 //! Its gates are machine-relative ceilings — no committed baseline needed.
 //! `--target-queries` shrinks the tier for smoke runs (labels keep their
 //! nominal 10k/100k/1m names).
@@ -71,12 +71,11 @@ use simrankpp_graph::{
 };
 use simrankpp_serve::{
     serve_session, EpochIngestor, IndexMeta, IngestConfig, IngestMetrics, LiveContext, LogTailer,
-    MappedIndex, NetConfig, NetServer, RewriteIndex, ServeState,
+    NetConfig, NetServer, RewriteIndex, ServeState,
 };
 use simrankpp_synth::federation::write_store;
 use simrankpp_synth::generator::{generate, GeneratorConfig};
 use std::collections::BTreeMap;
-use std::fs::File;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -135,7 +134,7 @@ const MIN_TCP_NO_COLLAPSE: f64 = 0.5;
 /// build that climbs past this is holding more than one segment's scores.
 const MAX_1M_PEAK_RSS_MB: f64 = 2048.0;
 
-/// Ceiling on opening the 1M-query snapshot via [`MappedIndex`]: open cost
+/// Ceiling on opening the 1M-query snapshot via [`RewriteIndex::open`]: open cost
 /// is O(#sections) header/table work plus one `mmap` — milliseconds flat,
 /// regardless of index size.
 const MAX_MAPPED_OPEN_MS_1M: f64 = 50.0;
@@ -615,7 +614,7 @@ fn serve_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
         median_ms(reps, || {
             let mut total = 0usize;
             for i in 0..1000u32 {
-                total += index.rewrites_of(QueryId((i * 7919) % n)).len();
+                total += index.row(QueryId((i * 7919) % n)).len();
             }
             total
         }),
@@ -628,7 +627,7 @@ fn serve_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
         median_ms(reps, || {
             let mut total = 0usize;
             for name in &names {
-                total += index.lookup(name).map_or(0, |s| s.len());
+                total += index.lookup(name).map_or(0, |q| index.row(q).len());
             }
             total
         }),
@@ -874,12 +873,13 @@ fn scale_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMap
 
         r.insert(
             format!("serve_1m/mapped_open_{label}_ms"),
-            median_ms(reps, || MappedIndex::open(&snap_path).expect("mapped open")),
+            median_ms(reps, || {
+                RewriteIndex::open(&snap_path).expect("mapped open")
+            }),
         );
         if label == "1m" {
             let t0 = Instant::now();
-            let heap = RewriteIndex::read_snapshot(File::open(&snap_path).expect("open snapshot"))
-                .expect("heap decode");
+            let heap = RewriteIndex::load(&snap_path).expect("checked load");
             r.insert(
                 "serve_1m/heap_decode_ms".to_owned(),
                 t0.elapsed().as_secs_f64() * 1e3,
@@ -1519,10 +1519,11 @@ fn render_scale_json(
          names stripped): streaming store write, segmented weighted-SimRank index build whose \
          peak RSS is gated against a ceiling (build memory is bounded by the largest segment \
          plus the output index, never the store), whole-section snapshot write, and mmap-backed \
-         MappedIndex open times at 1x/10x/100x of target/100 queries (10k/100k/1M at the \
+         RewriteIndex::open times at 1x/10x/100x of target/100 queries (10k/100k/1M at the \
          default target). Open must stay flat: it is O(#sections) table validation plus one \
-         mmap, so the 100x index opens in the same milliseconds as the 1x one; heap_decode is \
-         the old full-deserialize cost for contrast. Gates are machine-relative ceilings, not \
+         mmap, so the 100x index opens in the same milliseconds as the 1x one; heap_decode \
+         times RewriteIndex::load for contrast: heap read + deep checksum + full structural \
+         validation. Gates are machine-relative ceilings, not \
          baseline diffs.\",\n{},\n  \"results_ms\": {{\n{}\n  }},\n  \"derived\": {{\n{}\n  }},\n  \
          \"gate\": {{\n    \"max_peak_rss_mb\": {MAX_1M_PEAK_RSS_MB},\n    \
          \"max_mapped_open_ms_1m\": {MAX_MAPPED_OPEN_MS_1M},\n    \

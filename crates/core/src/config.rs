@@ -29,21 +29,6 @@ pub enum KernelKind {
     Pull,
 }
 
-/// How scores are produced: the full pair matrix upfront, or one query's
-/// row on demand (see `engine::single_source`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Materialize the full O(n²) pair matrix with the iterative engine
-    /// (the historical behavior, and the differential oracle for
-    /// single-source answers). The default.
-    #[default]
-    AllPairs,
-    /// Answer per-query top-k requests on demand via the linearized
-    /// single-source iteration (diagonal correction + per-query sparse
-    /// forward/backward passes) without ever building the matrix.
-    SingleSource,
-}
-
 /// Parameters shared by all SimRank variants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimrankConfig {
@@ -78,10 +63,6 @@ pub struct SimrankConfig {
     /// deserialize like `sharding`.
     #[serde(default)]
     pub kernel: KernelKind,
-    /// Whether scores come from the all-pairs matrix or the on-demand
-    /// single-source path. Defaults on deserialize like `sharding`.
-    #[serde(default)]
-    pub mode: EngineMode,
 }
 
 impl Default for SimrankConfig {
@@ -96,7 +77,6 @@ impl Default for SimrankConfig {
             threads: 1,
             sharding: ShardStrategy::Off,
             kernel: KernelKind::Pull,
-            mode: EngineMode::AllPairs,
         }
     }
 }
@@ -147,12 +127,6 @@ impl SimrankConfig {
     /// Builder-style: set the shard strategy.
     pub fn with_sharding(mut self, sharding: ShardStrategy) -> Self {
         self.sharding = sharding;
-        self
-    }
-
-    /// Builder-style: set the engine mode.
-    pub fn with_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -296,26 +270,23 @@ mod tests {
     }
 
     #[test]
-    fn mode_builder_defaults_to_all_pairs_and_deserializes_legacy() {
-        let c = SimrankConfig::default();
-        assert_eq!(c.mode, EngineMode::AllPairs);
-        assert_eq!(
-            c.with_mode(EngineMode::SingleSource).mode,
-            EngineMode::SingleSource
-        );
-        // Configs persisted before the mode knob existed must still load.
+    fn legacy_config_with_mode_key_still_deserializes() {
+        // Configs persisted while the retired all-pairs/single-source `mode`
+        // knob existed carry a `"mode"` key; unknown keys are ignored.
         let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
-        assert!(json.contains("mode"));
         let legacy = {
             let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
             match &mut v {
-                serde_json::Value::Object(m) => m.remove("mode"),
+                serde_json::Value::Object(m) => {
+                    m.insert("mode".into(), serde_json::Value::Str("SingleSource".into()))
+                }
                 other => panic!("config must serialize to an object, got {}", other.kind()),
             };
             serde_json::to_string(&v).unwrap()
         };
+        assert!(legacy.contains("\"mode\""));
         let c: SimrankConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(c.mode, EngineMode::AllPairs);
+        assert_eq!(c, SimrankConfig::default());
     }
 
     #[test]

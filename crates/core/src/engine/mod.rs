@@ -44,8 +44,7 @@
 //! * [`single_source::SingleSourceEngine`] escapes the all-pairs matrix
 //!   entirely: one query's score row on demand via the linearized series
 //!   (precomputed diagonal correction + per-query sparse forward/backward
-//!   passes), selected by [`crate::config::EngineMode`] with the all-pairs
-//!   engine as the differential oracle.
+//!   passes), with the all-pairs engine as the differential oracle.
 
 pub mod accum;
 pub mod incremental;
@@ -57,7 +56,7 @@ pub mod transition;
 
 pub use incremental::{run_incremental, IncrementalRun};
 pub use sharded::run_sharded;
-pub use single_source::{top_k_by_mode, DiagonalCorrection, RowWorkspace, SingleSourceEngine};
+pub use single_source::{DiagonalCorrection, RowWorkspace, SingleSourceEngine};
 pub use transition::{
     Transition, TransitionFactors, TransitionFactorsArena, UniformTransition, WeightedTransition,
 };

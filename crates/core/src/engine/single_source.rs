@@ -58,7 +58,7 @@
 //!   count), then cheap Gauss–Seidel sweeps solve for `d` — the sweep
 //!   matrix is a contraction with factor ≈ `c`.
 
-use crate::config::{EngineMode, SimrankConfig};
+use crate::config::SimrankConfig;
 use crate::engine::parallel::run_chunked;
 use crate::engine::transition::{Transition, TransitionFactorsArena};
 use crate::scores::ScoreMatrixArena;
@@ -557,30 +557,6 @@ impl<'f> SingleSourceEngine<'f> {
     }
 }
 
-/// Mode-dispatched top-k: `config.mode` selects the all-pairs engine (the
-/// exact oracle — a full run, then one row read) or the linearized
-/// single-source path. Intended for one-shot calls; callers issuing many
-/// queries should build a [`SingleSourceEngine`] (or an all-pairs run) once.
-pub fn top_k_by_mode<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-    q: QueryId,
-    k: usize,
-) -> Vec<(QueryId, f64)> {
-    match config.mode {
-        EngineMode::AllPairs => {
-            let run = crate::engine::run(g, config, transition);
-            run.queries
-                .top_k(q.0, k)
-                .into_iter()
-                .map(|(i, s)| (QueryId(i), s))
-                .collect()
-        }
-        EngineMode::SingleSource => SingleSourceEngine::new(g, config, transition).top_k(g, q, k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,28 +694,6 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a.1 - b.1).abs() < 1e-6);
             }
-        }
-    }
-
-    #[test]
-    fn mode_dispatch_selects_paths() {
-        let g = figure3_graph();
-        let config = converged();
-        let q = g.query_by_name("camera").unwrap();
-        let all = top_k_by_mode(&g, &config, &UniformTransition, q, 3);
-        let single = top_k_by_mode(
-            &g,
-            &config.with_mode(EngineMode::SingleSource),
-            &UniformTransition,
-            q,
-            3,
-        );
-        assert_eq!(
-            all.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            single.iter().map(|&(i, _)| i).collect::<Vec<_>>()
-        );
-        for (a, b) in all.iter().zip(&single) {
-            assert!((a.1 - b.1).abs() < 0.02);
         }
     }
 

@@ -46,11 +46,10 @@ pub mod scores;
 pub mod simrank;
 pub mod weighted;
 
-pub use config::{EngineMode, KernelKind, ShardStrategy, SimrankConfig};
+pub use config::{KernelKind, ShardStrategy, SimrankConfig};
 pub use engine::{
-    run_incremental, top_k_by_mode, DiagonalCorrection, IncrementalRun, RowWorkspace,
-    SingleSourceEngine, Transition, TransitionFactors, TransitionFactorsArena, UniformTransition,
-    WeightedTransition,
+    run_incremental, DiagonalCorrection, IncrementalRun, RowWorkspace, SingleSourceEngine,
+    Transition, TransitionFactors, TransitionFactorsArena, UniformTransition, WeightedTransition,
 };
 pub use evidence::{evidence_exponential, evidence_geometric, EvidenceKind};
 pub use method::{Method, MethodKind};

@@ -477,10 +477,12 @@ mod tests {
         // Served answers identical, including the retired query staying a
         // known (isolated) node.
         for (_, q) in oracle.window().query_names().iter() {
-            let a = oracle_index.lookup(q).expect("oracle knows q");
-            let b = rec_index
-                .lookup(q)
-                .expect("recovered index must know q too");
+            let a = oracle_index.row(oracle_index.lookup(q).expect("oracle knows q"));
+            let b = rec_index.row(
+                rec_index
+                    .lookup(q)
+                    .expect("recovered index must know q too"),
+            );
             assert_eq!(a.ids(), b.ids(), "{q}: ids");
             assert_eq!(
                 a.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -488,7 +490,10 @@ mod tests {
                 "{q}: score bits"
             );
         }
-        assert!(rec_index.lookup("retired-query").unwrap().ids().is_empty());
+        assert!(rec_index
+            .row(rec_index.lookup("retired-query").unwrap())
+            .ids()
+            .is_empty());
         assert_eq!(rec_ing.generation(), oracle.generation());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -128,8 +128,9 @@ impl std::fmt::Display for IngestMetrics {
 pub struct EpochIngestor {
     cfg: IngestConfig,
     window: SlidingWindowGraph,
-    /// The last published index generation; `None` until the first
-    /// refresh (which therefore runs a full build).
+    /// The last published index generation, sharing its bytes with the
+    /// served one; `None` until the first refresh (which therefore runs a
+    /// full build).
     index: Option<RewriteIndex>,
     /// `(query, ad)` endpoints of events observed or retired since the
     /// last refresh — the dirtiness frontier.
@@ -592,7 +593,7 @@ mod tests {
         let (index, stats, _) = ing.refresh().unwrap();
         assert_eq!(stats.refreshed_queries, 1, "the stale component refreshes");
         // The retired query survives as an isolated node with no rewrites.
-        assert!(index.lookup("stale").unwrap().ids().is_empty());
+        assert!(index.row(index.lookup("stale").unwrap()).ids().is_empty());
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!   slices: zero allocation on the hot path.
 //!   [`RewriteIndex::rebuild_incremental`] refreshes only the dirty
 //!   queries' rows after a click-graph delta, copying clean rows verbatim.
-//! * [`snapshot`] — versioned, checksummed binary persistence, so an index
-//!   is built once and loaded by server processes. Format v4 is an
-//!   8-aligned section arena written section-at-a-time.
-//! * [`mmap`]/[`mapped`] — zero-copy loading: [`MappedIndex`] serves rows
-//!   straight out of the snapshot file's bytes (`mmap` with a heap-read
-//!   fallback), so startup is O(#sections) regardless of index size;
-//!   [`ServingIndex`] unifies heap and mapped indexes behind one surface.
+//! * [`snapshot`] — the index's one representation: versioned, checksummed
+//!   snapshot v4 bytes, an 8-aligned section arena. Built indexes hold them
+//!   in memory; servers load them once from a file.
+//! * [`mmap`] — where those bytes live ([`Backing`]): [`RewriteIndex::open`]
+//!   maps the snapshot file (heap-read fallback), so startup is
+//!   O(#sections) regardless of index size, and rows are served straight
+//!   out of the file's bytes.
 //! * [`swap`] — a hand-rolled `ArcSwap`-style [`AtomicHandle`] so a new
 //!   index generation hot-swaps in while requests keep being answered.
 //! * [`server`] — the line protocol (`rewrite <query>`, `batch <file>`,
@@ -40,7 +40,6 @@
 pub mod checkpoint;
 pub mod index;
 pub mod ingest;
-pub mod mapped;
 pub mod mmap;
 pub mod net;
 pub mod rowcache;
@@ -51,12 +50,15 @@ pub mod swap;
 pub use checkpoint::{read_checkpoint, resume_ingestor, write_checkpoint, Checkpoint};
 pub use index::{IndexMeta, RebuildStats, RewriteIndex, RewriteSet};
 pub use ingest::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer, SpannedRecord};
-pub use mapped::{MappedIndex, ServingIndex};
 pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};
 pub use server::{
-    serve_lines, serve_session, serve_session_with, LiveContext, ServeState, SessionOptions,
-    Transport, UpdateContext,
+    serve_session, serve_session_with, LiveContext, ServeState, SessionOptions, Transport,
+    UpdateContext,
 };
 pub use swap::AtomicHandle;
+
+/// The name [`RewriteIndex::open`]'s result went by when the mapped view was
+/// a type of its own.
+pub type MappedIndex = RewriteIndex;

@@ -1,4 +1,5 @@
-//! Read-only file mapping with a heap fallback.
+//! Where an index's bytes live: a read-only file mapping, a heap
+//! fallback, or an arena built in this process.
 //!
 //! Snapshot v4 is an arena of 8-byte-aligned sections designed to be
 //! consumed *in place*. On Unix we map the file with a hand-rolled `mmap`
@@ -98,7 +99,7 @@ impl std::fmt::Debug for Mapping {
     }
 }
 
-/// Where a loaded snapshot's bytes live.
+/// Where an index's arena bytes live.
 #[derive(Debug)]
 pub enum Backing {
     /// The file is mapped into the address space: load cost is O(pages
@@ -107,6 +108,9 @@ pub enum Backing {
     Mapped(Mapping),
     /// The whole file was read into an 8-aligned heap buffer.
     Heap(AlignedBytes),
+    /// Bytes produced in this process — a build, or a snapshot decoded
+    /// from a reader — with no file behind them.
+    Live(AlignedBytes),
 }
 
 impl Backing {
@@ -136,21 +140,30 @@ impl Backing {
         Ok(Backing::Heap(buf))
     }
 
-    /// The backing bytes (8-aligned base pointer in both variants).
+    /// The backing bytes (8-aligned base pointer in every variant).
     pub fn bytes(&self) -> &[u8] {
         match self {
             #[cfg(unix)]
             Backing::Mapped(m) => m.as_slice(),
-            Backing::Heap(b) => b.as_slice(),
+            Backing::Heap(b) | Backing::Live(b) => b.as_slice(),
         }
     }
 
-    /// `"mmap"` or `"heap"`, for the `info` report.
+    /// `"mmap"`, `"heap"` or `"live"`, for the `info` report.
     pub fn kind(&self) -> &'static str {
         match self {
             #[cfg(unix)]
             Backing::Mapped(_) => "mmap",
             Backing::Heap(_) => "heap",
+            Backing::Live(_) => "live",
+        }
+    }
+
+    /// The size of the file behind the bytes; `None` for [`Backing::Live`].
+    pub fn file_len(&self) -> Option<u64> {
+        match self {
+            Backing::Live(_) => None,
+            other => Some(other.bytes().len() as u64),
         }
     }
 }

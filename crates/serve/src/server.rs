@@ -87,7 +87,6 @@
 //! open session with `bye\tdraining` and closes it.
 
 use crate::index::RewriteIndex;
-use crate::mapped::{MappedIndex, ServingIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::RowCache;
 use crate::swap::AtomicHandle;
@@ -393,11 +392,12 @@ impl LiveState {
 
 /// A running server's shared state: the hot-swappable index handle plus the
 /// optional update context and the optional live single-source fallback.
-/// The handle holds a [`ServingIndex`], so a zero-copy mapped snapshot and
-/// a heap index are served (and hot-swapped) through the same machinery.
+/// Every generation is a [`RewriteIndex`], whether built in this process or
+/// mapped from a snapshot file, so both are served (and hot-swapped)
+/// through the same machinery.
 #[derive(Debug)]
 pub struct ServeState {
-    index: AtomicHandle<ServingIndex>,
+    index: AtomicHandle<RewriteIndex>,
     update: Option<Mutex<UpdateContext>>,
     live: Option<LiveState>,
     /// Streaming-ingest counters when this server is fed by a click-log
@@ -413,11 +413,10 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// A server over a frozen heap index (snapshot mode): `update` is
-    /// refused.
+    /// A server over a frozen index (snapshot mode): `update` is refused.
     pub fn fixed(index: RewriteIndex) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: None,
             live: None,
             ingest: None,
@@ -433,7 +432,7 @@ impl ServeState {
         metrics: Arc<crate::ingest::IngestMetrics>,
     ) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: None,
             live: None,
             ingest: Some(metrics),
@@ -441,22 +440,16 @@ impl ServeState {
         }
     }
 
-    /// A server over a zero-copy mapped snapshot — rows are served straight
-    /// out of the file's bytes.
-    pub fn mapped(index: MappedIndex) -> ServeState {
-        ServeState {
-            index: AtomicHandle::new(ServingIndex::Mapped(index)),
-            update: None,
-            live: None,
-            ingest: None,
-            updater: Mutex::new(()),
-        }
+    /// [`ServeState::fixed`] under the name it had when a mapped snapshot
+    /// was a separate index type.
+    pub fn mapped(index: RewriteIndex) -> ServeState {
+        ServeState::fixed(index)
     }
 
     /// A server that can apply deltas and hot-swap index generations.
     pub fn updatable(index: RewriteIndex, ctx: UpdateContext) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: Some(Mutex::new(ctx)),
             live: None,
             ingest: None,
@@ -481,7 +474,7 @@ impl ServeState {
     }
 
     /// The swappable index handle (for out-of-band readers and tests).
-    pub fn handle(&self) -> &AtomicHandle<ServingIndex> {
+    pub fn handle(&self) -> &AtomicHandle<RewriteIndex> {
         &self.index
     }
 
@@ -496,7 +489,7 @@ impl ServeState {
     /// [`ServeState::apply_update`] it carries no graph bookkeeping, since
     /// the [`crate::ingest::EpochIngestor`] owns the windowed graph.
     pub fn publish(&self, index: RewriteIndex) {
-        self.index.swap(ServingIndex::Heap(index));
+        self.index.swap(index);
     }
 
     /// Applies a named-op delta read from `path`: rebuilds the dirty rows,
@@ -532,22 +525,7 @@ impl ServeState {
             let mut ctx = ctx.lock().unwrap_or_else(PoisonError::into_inner);
             let (new_graph, delta) = apply_named(&ctx.graph, &ops)?;
             let dirty = delta.dirty_components(&new_graph);
-            let old = self.index.load();
-            // A mapped generation is decoded to the heap first (deep-verified
-            // in the process); the rebuilt generation always serves from the
-            // heap — the snapshot file on disk is a build artifact, not the
-            // live truth, once updates start landing.
-            let owned;
-            let old_index: &RewriteIndex = match &*old {
-                ServingIndex::Heap(i) => i,
-                ServingIndex::Mapped(m) => {
-                    owned = m
-                        .to_owned_index()
-                        .map_err(|e| format!("cannot decode mapped index: {e}"))?;
-                    &owned
-                }
-            };
-            let (next, stats) = old_index.rebuild_incremental(
+            let (next, stats) = self.index.load().rebuild_incremental(
                 &new_graph,
                 &dirty,
                 &ctx.config,
@@ -559,7 +537,7 @@ impl ServeState {
             if let Some(live) = self.live.as_ref() {
                 live.rebuild(new_graph.clone())?;
             }
-            self.index.swap(ServingIndex::Heap(next));
+            self.index.swap(next);
             ctx.graph = new_graph;
             Ok(stats)
         } else if let Some(live) = self.live.as_ref() {
@@ -871,18 +849,9 @@ pub fn serve_session_with<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// [`serve_session`] over a frozen index — the historical entry point;
-/// `update` requests are refused. Clones the index once to seed the swap
-/// handle; callers holding an owned index (like the `serve` binary) should
-/// construct [`ServeState::fixed`] themselves and call [`serve_session`] to
-/// avoid the copy.
-pub fn serve_lines<R: BufRead, W: Write>(index: &RewriteIndex, input: R, out: W) -> io::Result<()> {
-    serve_session(&ServeState::fixed(index.clone()), input, out)
-}
-
 fn respond<W: Write>(
     state: &ServeState,
-    index: &ServingIndex,
+    index: &RewriteIndex,
     query: &str,
     out: &mut W,
     opts: &SessionOptions,
@@ -894,12 +863,12 @@ fn respond<W: Write>(
         writeln!(out, "err\tunknown query\t{}", clean(query))
     };
     if let Some(q) = index.lookup(query) {
-        let (targets, scores) = index.row(q);
-        write!(out, "ok\t{}\t{}", clean(query), targets.len())?;
-        for (&id, &score) in targets.iter().zip(scores) {
-            match index.query_name(QueryId(id)) {
+        let row = index.row(q);
+        write!(out, "ok\t{}\t{}", clean(query), row.len())?;
+        for (id, score, name) in row.iter() {
+            match name {
                 Some(n) => write!(out, "\t{}\t{score:.6}", clean(n))?,
-                None => write!(out, "\t#{id}\t{score:.6}")?,
+                None => write!(out, "\t#{}\t{score:.6}", id.0)?,
             }
         }
         return writeln!(out);
@@ -947,7 +916,7 @@ mod tests {
     fn run(input: &str) -> String {
         let index = fig3_index();
         let mut out = Vec::new();
-        serve_lines(&index, input.as_bytes(), &mut out).unwrap();
+        serve_session(&ServeState::fixed(index), input.as_bytes(), &mut out).unwrap();
         String::from_utf8(out).unwrap()
     }
 
@@ -1173,7 +1142,7 @@ mod tests {
             prefix: b"rewrite camera\nrewrite pc\n",
             pos: 0,
         };
-        let err = serve_lines(&index, input, writer).unwrap_err();
+        let err = serve_session(&ServeState::fixed(index), input, writer).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         let seen = String::from_utf8(flushed.borrow().clone()).unwrap();
         assert!(
@@ -1254,8 +1223,8 @@ mod tests {
             let name = g.query_name(q).unwrap();
             let live_line = run_on(&state, &format!("rewrite {name}\n"));
             let mut indexed_line = Vec::new();
-            serve_lines(
-                &index,
+            serve_session(
+                &ServeState::fixed(index.clone()),
                 format!("rewrite {name}\n").as_bytes(),
                 &mut indexed_line,
             )
@@ -1383,7 +1352,12 @@ mod tests {
         let rewriter = Rewriter::new(&g, method, RewriterConfig::default());
         let index = RewriteIndex::build(&rewriter, None, 1);
         let mut out = Vec::new();
-        serve_lines(&index, "rewrite z\n".as_bytes(), &mut out).unwrap();
+        serve_session(
+            &ServeState::fixed(index),
+            "rewrite z\n".as_bytes(),
+            &mut out,
+        )
+        .unwrap();
         let out = String::from_utf8(out).unwrap();
         let fields: Vec<&str> = out.trim_end().split('\t').collect();
         assert_eq!(fields[..3], ["ok", "z", "1"]);

@@ -42,13 +42,6 @@ impl<T> AtomicHandle<T> {
         }
     }
 
-    /// As [`AtomicHandle::new`] from an already-shared value.
-    pub fn from_arc(value: Arc<T>) -> Self {
-        AtomicHandle {
-            slot: Mutex::new(value),
-        }
-    }
-
     /// Locks the slot, recovering from poisoning: the slot's only mutation
     /// is an atomic `Arc` replacement, so the data is consistent no matter
     /// where a previous holder panicked.

@@ -64,7 +64,7 @@ fn assert_index_matches_live(
     assert_eq!(index.n_queries(), rewriter.graph().n_queries());
     for q in rewriter.graph().queries() {
         let live = rewriter.rewrites(q, bid_terms);
-        let served = index.rewrites_of(q);
+        let served = index.row(q);
         assert_eq!(served.len(), live.len(), "depth mismatch for {q:?}");
         for (got, want) in served.iter().zip(&live) {
             assert_eq!(got.0, want.query, "target mismatch for {q:?}");

@@ -266,11 +266,15 @@ impl<'a> ArenaWriter<'a> {
         Ok(off)
     }
 
-    /// Encodes into a fresh 8-aligned buffer (for in-memory round-trips).
+    /// Encodes straight into a fresh 8-aligned buffer of exactly
+    /// [`ArenaWriter::encoded_len`] bytes.
     pub fn to_aligned_bytes(&self) -> AlignedBytes {
-        let mut buf = Vec::with_capacity(self.encoded_len() as usize);
-        self.write_to(&mut buf).expect("Vec writes are infallible");
-        AlignedBytes::copy_from(&buf)
+        let mut buf = AlignedBytes::zeroed(self.encoded_len() as usize);
+        let mut sink = buf.as_mut_slice();
+        self.write_to(&mut sink)
+            .expect("the buffer holds exactly the encoded length");
+        debug_assert!(sink.is_empty());
+        buf
     }
 }
 

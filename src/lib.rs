@@ -15,7 +15,7 @@
 //! | [`text`] | Porter stemmer, query normalization, stem-dedup (§9.3) |
 //! | [`synth`] | synthetic click-graph generator, position-bias click model, simulated editorial judge (Table 6), bids, traffic sampling, click-spam injection |
 //! | [`eval`] | §9.4 metrics: coverage, 11-pt precision/recall, P@X, depth bands, desirability prediction (Figures 8–12) |
-//! | [`serve`] | the online half of Fig. 2: precomputed top-k [`RewriteIndex`](serve::RewriteIndex), versioned binary/JSON snapshots, incremental rebuilds hot-swapped through an `ArcSwap`-style handle, line-protocol `serve` binary |
+//! | [`serve`] | the online half of Fig. 2: precomputed top-k [`RewriteIndex`](serve::RewriteIndex) held as versioned binary snapshot bytes (built in memory or mmap-ed from a file), incremental rebuilds hot-swapped through an `ArcSwap`-style handle, line-protocol `serve` binary |
 //! | [`util`] | fast hashing, top-k selection, online statistics |
 //!
 //! Engine convergence knobs on [`SimrankConfig`](prelude::SimrankConfig):
@@ -56,8 +56,7 @@ pub use simrankpp_util as util;
 pub mod prelude {
     pub use simrankpp_core::evidence::EvidenceKind;
     pub use simrankpp_core::{
-        EngineMode, KernelKind, Method, MethodKind, Rewrite, Rewriter, RewriterConfig,
-        SimrankConfig,
+        KernelKind, Method, MethodKind, Rewrite, Rewriter, RewriterConfig, SimrankConfig,
     };
     pub use simrankpp_eval::{run_experiment, ExperimentConfig};
     pub use simrankpp_graph::{

@@ -292,17 +292,101 @@ proptest! {
         prop_assert_eq!(inc.n_entries(), full.n_entries());
         for q in g1.queries() {
             prop_assert_eq!(
-                inc.rewrites_of(q).ids(), full.rewrites_of(q).ids(),
+                inc.row(q).ids(), full.row(q).ids(),
                 "targets differ for query {}", q
             );
             prop_assert_eq!(
-                inc.rewrites_of(q).scores(), full.rewrites_of(q).scores(),
+                inc.row(q).scores(), full.row(q).scores(),
                 "scores differ for query {}", q
             );
         }
         prop_assert_eq!(stats.refreshed_queries + stats.copied_queries, g1.n_queries());
         prop_assert_eq!(stats.refreshed_queries, dirty.dirty_query_count());
     }
+
+    #[test]
+    fn incremental_rebuild_from_opened_snapshot_is_byte_identical(
+        n_queries in 20usize..80,
+        seed in 0u64..1_000_000,
+        n_upserts in 1usize..8,
+        n_removals in 0usize..4,
+    ) {
+        let g0 = synth_graph(3, n_queries, seed, false);
+        let d = mixed_delta(&g0, seed ^ 0x0BE, n_upserts, n_removals, false);
+        let g1 = d.apply(&g0);
+        let dirty = d.dirty_components(&g1);
+        let [opened, built, full] = rebuild_three_ways(&g0, &g1, &dirty, &format!("{seed}"));
+        prop_assert!(opened == built, "opened-snapshot rebuild differs from in-memory rebuild");
+        prop_assert!(opened == full, "incremental rebuild differs from a fresh build");
+    }
+}
+
+/// Snapshot bytes of the post-delta index produced three ways:
+/// `rebuild_incremental` from a snapshot of `g0`'s index opened from disk
+/// (mmap), the same rebuild from the in-memory build, and a fresh build
+/// over `g1`.
+fn rebuild_three_ways(
+    g0: &ClickGraph,
+    g1: &ClickGraph,
+    dirty: &simrankpp::graph::DirtyComponents,
+    tag: &str,
+) -> [Vec<u8>; 3] {
+    let c = cfg(5);
+    let build = |g: &ClickGraph| {
+        let method = Method::compute(MethodKind::WeightedSimrank, g, &c);
+        let rewriter = Rewriter::new(g, method, RewriterConfig::default());
+        RewriteIndex::build(&rewriter, None, 1)
+    };
+    let rebuild = |old: &RewriteIndex| {
+        let (next, _) = old
+            .rebuild_incremental(g1, dirty, &c, &RewriterConfig::default(), None)
+            .unwrap();
+        next.bytes().to_vec()
+    };
+    let built = build(g0);
+    let path = std::env::temp_dir().join(format!(
+        "simrankpp_incremental_open_{tag}_{}.idx",
+        std::process::id()
+    ));
+    built.save(&path).unwrap();
+    let opened = RewriteIndex::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    #[cfg(unix)]
+    assert_eq!(opened.backing(), "mmap");
+    [
+        rebuild(&opened),
+        rebuild(&built),
+        build(g1).bytes().to_vec(),
+    ]
+}
+
+#[test]
+fn incremental_rebuild_from_opened_figure3_snapshot_is_byte_identical() {
+    use simrankpp::graph::delta::{apply_named, NamedOp};
+    let g0 = simrankpp::graph::fixtures::figure3_graph();
+    let ops = vec![
+        NamedOp::Upsert {
+            query: "camera".into(),
+            ad: "bestbuy.com".into(),
+            data: EdgeData::from_clicks(50),
+        },
+        NamedOp::Upsert {
+            query: "laptop".into(),
+            ad: "hp.com".into(),
+            data: EdgeData::from_clicks(4),
+        },
+    ];
+    let (g1, delta) = apply_named(&g0, &ops).unwrap();
+    let dirty = delta.dirty_components(&g1);
+    let [opened, built, full] = rebuild_three_ways(&g0, &g1, &dirty, "fig3");
+    assert!(
+        opened == built,
+        "opened-snapshot rebuild differs from in-memory rebuild"
+    );
+    assert!(
+        opened == full,
+        "incremental rebuild differs from a fresh build"
+    );
 }
 
 #[test]

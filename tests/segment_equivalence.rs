@@ -5,7 +5,7 @@
 //! index built segment-at-a-time (`RewriteIndex::build_segmented`) equals
 //! the monolithic build bit-for-bit (same targets, same score bits, same
 //! names — the monotone local→global id maps preserve equal-score
-//! tie-breaks), and a snapshot served zero-copy through `MappedIndex`
+//! tie-breaks), and a snapshot served zero-copy through `RewriteIndex::open`
 //! answers identically whether the bytes are mmapped or heap-read.
 //!
 //! Property tests drive all three over random bipartite click graphs and
@@ -17,7 +17,7 @@ use proptest::test_runner::TestCaseError;
 use simrankpp::core::ShardStrategy;
 use simrankpp::graph::segments::{write_segmented, SegmentedStore};
 use simrankpp::prelude::*;
-use simrankpp::serve::{MappedIndex, RewriteIndex};
+use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::generate;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -77,7 +77,7 @@ fn assert_indexes_identical(a: &RewriteIndex, b: &RewriteIndex) -> Result<(), Te
     prop_assert_eq!(a.n_entries(), b.n_entries());
     for q in 0..a.n_queries() as u32 {
         let q = QueryId(q);
-        let (ra, rb) = (a.rewrites_of(q), b.rewrites_of(q));
+        let (ra, rb) = (a.row(q), b.row(q));
         prop_assert_eq!(ra.ids(), rb.ids(), "targets differ at {:?}", q);
         prop_assert_eq!(ra.scores(), rb.scores(), "score bits differ at {:?}", q);
         prop_assert_eq!(a.query_name(q), b.query_name(q));
@@ -130,28 +130,30 @@ proptest! {
         let path = tmp("snap.idx");
         index.write_snapshot(File::create(&path).unwrap()).unwrap();
 
-        let mapped = MappedIndex::open(&path).unwrap();
-        let heap = MappedIndex::open_heap(&path).unwrap();
+        let mapped = RewriteIndex::open(&path).unwrap();
+        let heap = RewriteIndex::open_heap(&path).unwrap();
         prop_assert_eq!(mapped.n_queries(), index.n_queries());
         prop_assert_eq!(heap.n_queries(), index.n_queries());
+        prop_assert_eq!(heap.backing(), "heap");
         for q in 0..index.n_queries() as u32 {
             let q = QueryId(q);
-            let want = index.rewrites_of(q);
-            let (mt, ms) = mapped.row(q);
-            let (ht, hs) = heap.row(q);
-            prop_assert_eq!(mt, want.ids());
-            prop_assert_eq!(ms, want.scores());
-            prop_assert_eq!(ht, want.ids());
-            prop_assert_eq!(hs, want.scores());
+            let want = index.row(q);
+            let (m, h) = (mapped.row(q), heap.row(q));
+            prop_assert_eq!(m.ids(), want.ids());
+            prop_assert_eq!(m.scores(), want.scores());
+            prop_assert_eq!(h.ids(), want.ids());
+            prop_assert_eq!(h.scores(), want.scores());
             prop_assert_eq!(mapped.query_name(q), index.query_name(q));
         }
         for q in 0..g.n_queries() as u32 {
             let name = g.query_name(QueryId(q)).unwrap();
-            prop_assert_eq!(mapped.lookup(name), index.lookup_id(name));
-            prop_assert_eq!(heap.lookup(name), index.lookup_id(name));
+            prop_assert_eq!(mapped.lookup(name), Some(QueryId(q)));
+            prop_assert_eq!(heap.lookup(name), Some(QueryId(q)));
+            prop_assert_eq!(index.lookup(name), Some(QueryId(q)));
         }
         prop_assert_eq!(mapped.lookup("no such query"), None);
-        assert_indexes_identical(&index, &mapped.to_owned_index().unwrap())?;
+        assert_indexes_identical(&index, &RewriteIndex::load(&path).unwrap())?;
+        prop_assert_eq!(mapped.bytes(), index.bytes());
         std::fs::remove_file(&path).ok();
     }
 }
@@ -168,20 +170,21 @@ fn synth_world_survives_the_full_segmented_round_trip() {
     assert_eq!(mono.n_entries(), seg.n_entries());
     for q in 0..g.n_queries() as u32 {
         let q = QueryId(q);
-        assert_eq!(mono.rewrites_of(q).ids(), seg.rewrites_of(q).ids());
-        assert_eq!(mono.rewrites_of(q).scores(), seg.rewrites_of(q).scores());
+        assert_eq!(mono.row(q).ids(), seg.row(q).ids());
+        assert_eq!(mono.row(q).scores(), seg.row(q).scores());
     }
 
     let snap_path = tmp("synth.idx");
     seg.write_snapshot(File::create(&snap_path).unwrap())
         .unwrap();
-    let mapped = MappedIndex::open(&snap_path).unwrap();
+    let mapped = RewriteIndex::open(&snap_path).unwrap();
     mapped.verify_deep().unwrap();
+    mapped.validate().unwrap();
     for q in 0..g.n_queries() as u32 {
         let q = QueryId(q);
-        let (t, s) = mapped.row(q);
-        assert_eq!(t, mono.rewrites_of(q).ids());
-        assert_eq!(s, mono.rewrites_of(q).scores());
+        let row = mapped.row(q);
+        assert_eq!(row.ids(), mono.row(q).ids());
+        assert_eq!(row.scores(), mono.row(q).scores());
     }
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&snap_path).ok();

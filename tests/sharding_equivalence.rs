@@ -162,8 +162,8 @@ proptest! {
         let shard = build(ShardStrategy::Components);
         prop_assert_eq!(mono.n_entries(), shard.n_entries());
         for q in g.queries() {
-            let m = mono.rewrites_of(q);
-            let s = shard.rewrites_of(q);
+            let m = mono.row(q);
+            let s = shard.row(q);
             prop_assert_eq!(m.ids(), s.ids(), "rewrite targets differ for query {}", q);
             prop_assert_eq!(m.scores(), s.scores(), "rewrite scores differ for query {}", q);
         }

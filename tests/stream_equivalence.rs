@@ -130,7 +130,7 @@ fn assert_served_bit_identical(chained: &RewriteIndex, scratch: &RewriteIndex) {
     );
     for q in 0..chained.n_queries() as u32 {
         let q = simrankpp::graph::QueryId(q);
-        let (a, b) = (chained.rewrites_of(q), scratch.rewrites_of(q));
+        let (a, b) = (chained.row(q), scratch.row(q));
         assert_eq!(a.ids(), b.ids(), "rewrite ids differ for {q:?}");
         let (sa, sb) = (a.scores(), b.scores());
         assert_eq!(sa.len(), sb.len());
